@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <set>
 
+#include "trace/profiles.hpp"
 #include "trace/workload.hpp"
 
 namespace tagecon {
@@ -248,6 +251,140 @@ TEST(SyntheticTrace, ValidationRejectsBadProfiles)
     bad3.loopPeriodMax = 5;
     EXPECT_EXIT(SyntheticTrace(bad3, 10), ::testing::ExitedWithCode(1),
                 "loopPeriod");
+}
+
+/** FNV-1a-64 over every record's (pc, taken, instructionsBefore). */
+uint64_t
+streamDigest(SyntheticTrace& t)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](uint64_t v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    BranchRecord rec;
+    while (t.next(rec)) {
+        mix(rec.pc);
+        mix(rec.taken ? 1 : 0);
+        mix(rec.instructionsBefore);
+    }
+    return h;
+}
+
+// Pins every named profile's record stream at two seed salts, so a
+// change to program construction or generation that alters a single
+// record fails here rather than shifting every downstream figure. The
+// phase-compressed digest walks every phase region of each profile
+// (its working set and call-graph pools) within a short stream.
+TEST(SyntheticTrace, NamedProfileStreamsArePinned)
+{
+    struct Pinned {
+        const char* name;
+        uint64_t salt0;
+        uint64_t saltB;
+        uint64_t phased;
+    };
+    static const Pinned kPinned[] = {
+        {"FP-1", 0xf3351a50b597a715ULL, 0x829f546a653c8ec8ULL,
+         0xf3351a50b597a715ULL},
+        {"FP-2", 0x4cfed24b255029ebULL, 0x13645618515d2f7fULL,
+         0x4cfed24b255029ebULL},
+        {"FP-3", 0x3d93346ef7bbdc6dULL, 0x951e4efe2bc211c6ULL,
+         0x3d93346ef7bbdc6dULL},
+        {"FP-4", 0xa2a7c635da7c0010ULL, 0x2941c0fabb017c80ULL,
+         0xa2a7c635da7c0010ULL},
+        {"FP-5", 0xe0b58d6cbe8ee547ULL, 0x740fda85436f5677ULL,
+         0xe0b58d6cbe8ee547ULL},
+        {"INT-1", 0xe8668c58c018aa2dULL, 0xaa922bda646f3351ULL,
+         0xf26c44e4bab2d465ULL},
+        {"INT-2", 0x73aafb948c4f4883ULL, 0xc73f04dfad369272ULL,
+         0x20abee142500a6e5ULL},
+        {"INT-3", 0x810263b34b3e0b77ULL, 0xb91e6767afc3352cULL,
+         0x8137114fadce9757ULL},
+        {"INT-4", 0xab20b79f0cd4cfa2ULL, 0xbb374da37878b2c9ULL,
+         0x0afbd8c51d4bf123ULL},
+        {"INT-5", 0x28a330526fa704d0ULL, 0x66afa28fda8ca3a6ULL,
+         0x28a330526fa704d0ULL},
+        {"MM-1", 0x0adf4dd164a9085bULL, 0x3a9dafad978dcd01ULL,
+         0x0adf4dd164a9085bULL},
+        {"MM-2", 0xe20c2bf7f8678600ULL, 0x9c52c240ed4aa5a2ULL,
+         0xe20c2bf7f8678600ULL},
+        {"MM-3", 0x95226cf878674fe1ULL, 0x37525a4d3a4f03f7ULL,
+         0x95226cf878674fe1ULL},
+        {"MM-4", 0x9ac02f7dea4ed7d4ULL, 0x4d54f5e5087cb757ULL,
+         0x9ac02f7dea4ed7d4ULL},
+        {"MM-5", 0x5ed4ec1b8581bf3fULL, 0xd185226119279472ULL,
+         0x536dbbe48855ca93ULL},
+        {"SERV-1", 0xf9efdcdc1627a07cULL, 0xe3bcc0791b0cd4b3ULL,
+         0xa250872e71c1f756ULL},
+        {"SERV-2", 0xc84ee391c9f21086ULL, 0x52b361f461840c3dULL,
+         0xdda1a881761b5925ULL},
+        {"SERV-3", 0x95c3f32507783b1cULL, 0x667aa0afd87f0e64ULL,
+         0xf94d9fd093112e05ULL},
+        {"SERV-4", 0xd79a69073e7d4cf3ULL, 0x30b0ec72c2ad514eULL,
+         0x168bf7a1adf7330fULL},
+        {"SERV-5", 0xa28f8821e2e3e769ULL, 0x88719c3818e9a1c5ULL,
+         0x2fdfe0f49800c886ULL},
+        {"164.gzip", 0x56e7c324383c09c9ULL, 0x36d74113529498edULL,
+         0x56e7c324383c09c9ULL},
+        {"175.vpr", 0x01720487e2bb2c58ULL, 0x88d1582612f1419dULL,
+         0x223a1f7b1d202c49ULL},
+        {"176.gcc", 0x79af1dd15f53edb6ULL, 0x74bfb9bb7e1453a5ULL,
+         0x1c32f37b7b56edddULL},
+        {"181.mcf", 0xbe3b8a241bbee8d9ULL, 0xc7cae168e148f02eULL,
+         0x42ddd9d5f53c6769ULL},
+        {"186.crafty", 0xc580f1fc1d01b7f1ULL, 0xed26dff13226819cULL,
+         0xe256b7143de65dc9ULL},
+        {"197.parser", 0xa059fde7860f76b8ULL, 0xbe7fc6d0ace73348ULL,
+         0x268e403f08f52fbaULL},
+        {"201.compress", 0xbbd44a1f79a73c94ULL, 0xfd7521d05676d026ULL,
+         0xfeb596a44be4ea65ULL},
+        {"202.jess", 0x01d8c701ac63d928ULL, 0x37cd148823ef5426ULL,
+         0x21712538da38709cULL},
+        {"205.raytrace", 0x6d42b8a22e3dec80ULL, 0xd8a768ee1f1f156aULL,
+         0xcb72e0e49be0ede3ULL},
+        {"209.db", 0x57886b6981bdf3d0ULL, 0x344a4923c94514baULL,
+         0x96f5fc4d6697de87ULL},
+        {"213.javac", 0x42a40021656ea5d5ULL, 0xde224fb6c2259bd6ULL,
+         0xd6f489f9fc063db6ULL},
+        {"222.mpegaudio", 0xae8ed3f79b140c0eULL, 0xc9f2abe31dbc90ceULL,
+         0xae8ed3f79b140c0eULL},
+        {"227.mtrt", 0x5bfc7dacba14f330ULL, 0x377550dddb4618d9ULL,
+         0x58516d8c0985be48ULL},
+        {"228.jack", 0x9a654f35b13e8bc7ULL, 0x84e71421e74f29caULL,
+         0x50e9ec4cecb64902ULL},
+        {"252.eon", 0x389968b84ca3a1d7ULL, 0xc2cea0c4981f4e0bULL,
+         0x389968b84ca3a1d7ULL},
+        {"253.perlbmk", 0xa2de9b1ee726b65dULL, 0xe9a76af95b102779ULL,
+         0x2e66364b35c004f7ULL},
+        {"254.gap", 0x14809ca74ee67160ULL, 0x1c4a3ba94b8b37cdULL,
+         0x4682d5b08d35d136ULL},
+        {"255.vortex", 0x6cec7d65ecb9f38cULL, 0x396e15642bbdb720ULL,
+         0x6676e30463de0947ULL},
+        {"256.bzip2", 0xb7df6f994b35ce2dULL, 0xffc640ce3a6d3113ULL,
+         0x231796c8c3a3ba57ULL},
+        {"300.twolf", 0xcf71a499b33bc933ULL, 0xb1bed89ad671ee27ULL,
+         0xcf71a499b33bc933ULL},
+    };
+    constexpr uint64_t kRecords = 20000;
+    constexpr uint64_t kSaltB = 0x9E3779B97F4A7C15ULL;
+    const auto names = allTraceNames();
+    ASSERT_EQ(names.size(), std::size(kPinned));
+    for (size_t i = 0; i < names.size(); ++i) {
+        SCOPED_TRACE(names[i]);
+        EXPECT_EQ(names[i], kPinned[i].name);
+        SyntheticTrace a = makeTrace(names[i], kRecords, 0);
+        EXPECT_EQ(streamDigest(a), kPinned[i].salt0);
+        SyntheticTrace b = makeTrace(names[i], kRecords, kSaltB);
+        EXPECT_EQ(streamDigest(b), kPinned[i].saltB);
+
+        ProfileParams p = profileByName(names[i]);
+        const uint64_t phases =
+            static_cast<uint64_t>(std::max(p.numPhases, 1));
+        p.phaseLength = kRecords / (phases + 1);
+        SyntheticTrace c(p, kRecords);
+        EXPECT_EQ(streamDigest(c), kPinned[i].phased);
+    }
 }
 
 TEST(Materialize, DrainsIntoVectorTrace)
