@@ -279,34 +279,33 @@ SyntheticTrace::buildCallGraph(XorShift128Plus& build_rng)
         1, static_cast<size_t>(params_.hotFraction *
                                static_cast<double>(total)));
     const auto num_phases = static_cast<size_t>(params_.numPhases);
+    const size_t hot_end = std::min(hot, total);
 
-    auto pool_for = [&](size_t f) {
-        std::vector<size_t> pool;
-        for (size_t i = 0; i < hot && i < total; ++i)
-            pool.push_back(i);
-        if (num_phases <= 1) {
-            for (size_t i = hot; i < total; ++i)
-                pool.push_back(i);
-        } else if (f >= hot) {
-            const size_t cold = total - std::min(hot, total);
-            const size_t per_phase = std::max<size_t>(1,
-                                                      cold / num_phases);
-            const size_t region =
-                std::min((f - hot) / per_phase, num_phases - 1);
-            const size_t begin = hot + region * per_phase;
-            for (size_t i = begin;
-                 i < std::min(begin + per_phase, total); ++i) {
-                pool.push_back(i);
-            }
-        }
-        return pool;
-    };
-
+    // A successor pool is the hot set followed by one contiguous range:
+    // every cold function for a single-phase program, nothing for a hot
+    // function, else the function's own phase region. Draw an index
+    // into that union directly instead of materializing the pool.
     successors_.resize(total);
     for (size_t f = 0; f < total; ++f) {
-        const auto pool = pool_for(f);
-        for (auto& s : successors_[f])
-            s = pool[build_rng.nextBelow(pool.size())];
+        size_t begin = hot_end;
+        size_t end = total;
+        if (num_phases > 1) {
+            const size_t per_phase =
+                std::max<size_t>(1, (total - hot_end) / num_phases);
+            end = begin;
+            if (f >= hot) {
+                const size_t region =
+                    std::min((f - hot) / per_phase, num_phases - 1);
+                begin = hot + region * per_phase;
+                end = std::min(begin + per_phase, total);
+            }
+        }
+        const size_t pool_size = hot_end + (end - begin);
+        for (auto& s : successors_[f]) {
+            const auto k =
+                static_cast<size_t>(build_rng.nextBelow(pool_size));
+            s = k < hot_end ? k : begin + (k - hot_end);
+        }
     }
 }
 
