@@ -9,8 +9,8 @@
  *
  *  - **Deterministic metrics** (Counter, Gauge): pure functions of the
  *    workload configuration — predictions served, allocations,
- *    quarantines, retries, evictions, checkpoint bytes, sweep cache
- *    hits. Integer sums are order-independent, so their values are
+ *    quarantines, retries, pool admissions, checkpoint bytes, sweep
+ *    cache hits. Integer sums are order-independent, so their values are
  *    byte-identical at any --jobs (with shards/pool/batch held fixed)
  *    and CI diffs the deterministic dump j4-vs-j1.
  *

@@ -1,7 +1,8 @@
 /**
  * @file
  * Versioned predictor checkpoint blobs: the on-disk/wire format the
- * serving engine uses to park and resume predictor state.
+ * serving engine uses to checkpoint, digest and resume predictor
+ * state.
  *
  * A blob is a header (magic, format version, kind, the canonical
  * registry spec the state was written with), an opaque payload (the

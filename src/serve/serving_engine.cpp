@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <span>
 #include <thread>
@@ -55,11 +54,7 @@ struct StreamState {
     std::unique_ptr<TraceSource> trace;
     std::unique_ptr<GradedPredictor> predictor;
 
-    /** Parked snapshot bytes while the predictor is evicted. */
-    std::vector<uint8_t> parked;
-
     uint64_t consumed = 0;
-    bool started = false;
     bool done = false;
 
     StreamResult result;
@@ -84,7 +79,6 @@ streamErr(const StreamState& st, Err e)
 struct ServeShared {
     const ServeOptions* opts = nullptr;
     std::vector<StreamState>* streams = nullptr;
-    const std::vector<std::vector<size_t>>* shardStreams = nullptr;
     std::atomic<size_t> nextShard{0};
     std::atomic<bool> failed{false};
     Mutex errorMutex;
@@ -104,7 +98,6 @@ struct ServeMetrics {
     obs::Counter& predictions = obs::counter("serve.predictions");
     obs::Counter& turns = obs::counter("serve.turns");
     obs::Counter& admissions = obs::counter("serve.pool.admissions");
-    obs::Counter& evictions = obs::counter("serve.pool.evictions");
     obs::Counter& quarantines = obs::counter("serve.quarantines");
     obs::TimingHistogram& turnNs = obs::timingHistogram("serve.turn.ns");
 };
@@ -151,7 +144,11 @@ withRetry(ServeShared& sh, StreamState& st,
     }
 }
 
-/** Materialize (or re-materialize) a stream's live predictor. */
+/**
+ * Admit a stream into its shard's cohort: build its predictor, open
+ * its trace, then warm-start from a restore-dir checkpoint when one
+ * exists. Each stream is admitted exactly once.
+ */
 Err
 admitStream(ServeShared& sh, StreamState& st)
 {
@@ -160,24 +157,6 @@ admitStream(ServeShared& sh, StreamState& st)
     if (!st.predictor)
         return Err(ErrCode::BadSpec, "serve.admit", std::move(error));
 
-    if (!st.parked.empty()) {
-        StateReader in(st.parked);
-        if (!st.predictor->restore(in, error) || !in.exhausted()) {
-            return Err(ErrCode::Corrupt, "serve.admit",
-                       "re-admission failed: " +
-                           (error.empty() ? "trailing bytes" : error));
-        }
-        st.parked.clear();
-        st.parked.shrink_to_fit();
-        return {};
-    }
-
-    if (st.started)
-        return {};
-    st.started = true;
-
-    // First admission: open the trace, then warm-start from a
-    // restore-dir checkpoint when one exists.
     auto opened = openTraceSource(st.desc->trace, st.desc->branches,
                                   st.desc->seedSalt);
     if (!opened.ok())
@@ -238,22 +217,6 @@ admitStream(ServeShared& sh, StreamState& st)
     return {};
 }
 
-/** Park a live predictor as snapshot bytes. */
-Err
-evictStream(ServeShared& sh, StreamState& st)
-{
-    (void)sh;
-    failpoints::KeyScope scope(st.desc->id);
-    StateWriter w;
-    std::string error;
-    if (!st.predictor->snapshot(w, error))
-        return Err(ErrCode::Unsupported, "serve.evict",
-                   "eviction failed: " + error);
-    st.parked = w.take();
-    st.predictor.reset();
-    return {};
-}
-
 /** Checkpoint / fingerprint a finished stream, then release it. */
 Err
 finalizeStream(ServeShared& sh, StreamState& st)
@@ -303,18 +266,20 @@ quarantineStream(StreamState& st, Err e)
     serveMetrics().quarantines.add();
     st.predictor.reset();
     st.trace.reset();
-    st.parked.clear();
-    st.parked.shrink_to_fit();
     st.done = true;
 }
 
-/**
- * Serve every stream of one shard round-robin to exhaustion. Single
- * worker per shard, so no locking on stream state.
- */
 /** predictMany() chunk size of a scheduling turn (batch may be huge). */
 constexpr size_t kServeChunk = 512;
 
+/**
+ * Serve every stream of one shard to exhaustion. The shard round-robins
+ * over a cohort of at most poolPerShard streams (all members when it is
+ * 0): a stream is admitted on its first turn and stays until it
+ * finishes or is quarantined, when its slot passes to the next waiting
+ * member in member order. Waiting streams hold no state. Single worker
+ * per shard, so no locking on stream state.
+ */
 void
 serveShard(ServeShared& sh, size_t shard_index,
            const std::vector<size_t>& members)
@@ -322,15 +287,7 @@ serveShard(ServeShared& sh, size_t shard_index,
     TAGECON_SPAN("serve.shard", shard_index);
     const ServeOptions& opts = *sh.opts;
     ServeMetrics& metrics = serveMetrics();
-    const size_t cap = opts.poolPerShard;
-    std::deque<size_t> live; // admission order, for FIFO eviction
     std::vector<double> latency;
-
-    auto eraseLive = [&live](size_t idx) {
-        const auto it = std::find(live.begin(), live.end(), idx);
-        if (it != live.end())
-            live.erase(it);
-    };
 
     // Strict mode aborts the serve on the first failure (returns
     // false); the default isolates it into the one stream.
@@ -353,142 +310,120 @@ serveShard(ServeShared& sh, size_t shard_index,
     taken.reserve(chunk);
     insns.reserve(chunk);
 
-    size_t remaining = members.size();
-    while (remaining > 0) {
-        if (sh.failed.load(std::memory_order_relaxed))
-            return;
-        for (size_t idx : members) {
-            StreamState& st = (*sh.streams)[idx];
-            if (st.done)
-                continue;
-            if (sh.failed.load(std::memory_order_relaxed))
-                return;
+    // One scheduling turn of @p st; false aborts the serve.
+    auto serveTurn = [&](StreamState& st) {
+        // Failpoint triggers key on the stream id, so injection
+        // schedules are a function of each stream's own progress —
+        // bit-reproducible at any --jobs / shard count / pool size.
+        failpoints::KeyScope scope(st.desc->id);
 
-            // Failpoint triggers key on the stream id, so injection
-            // schedules are a function of each stream's own progress —
-            // bit-reproducible at any --jobs / shard count.
-            failpoints::KeyScope scope(st.desc->id);
+        if (failpoints::anyArmed()) {
+            if (auto injected = failpoints::check("serve.worker.step"))
+                return failStream(st, std::move(*injected));
+        }
 
-            if (failpoints::anyArmed()) {
-                if (auto injected =
-                        failpoints::check("serve.worker.step")) {
-                    eraseLive(idx);
-                    if (!failStream(st, std::move(*injected)))
-                        return;
-                    --remaining;
-                    continue;
-                }
+        if (!st.predictor) {
+            if (Err e = admitStream(sh, st); e.failed())
+                return failStream(st, std::move(e));
+            metrics.admissions.add();
+        }
+
+        const uint64_t start_ns = wallclock::monotonicNanos();
+        BranchRecord rec;
+        uint64_t n = 0;
+        GradedPredictor& predictor = *st.predictor;
+        ClassStats& stats = st.result.stats;
+        BinaryConfidenceMetrics& confusion = st.result.confusion;
+        if (opts.forceScalar) {
+            while (n < opts.batch && st.trace->next(rec)) {
+                const Prediction p = predictor.predict(rec.pc);
+                const bool mispredicted = p.taken != rec.taken;
+                stats.record(p.cls, mispredicted,
+                             uint64_t{rec.instructionsBefore} + 1);
+                confusion.record(p.confidence == ConfidenceLevel::High,
+                                 !mispredicted);
+                predictor.update(rec.pc, p, rec.taken);
+                ++n;
             }
-
-            if (!st.predictor) {
-                if (Err e = admitStream(sh, st); e.failed()) {
-                    if (!failStream(st, std::move(e)))
-                        return;
-                    --remaining;
-                    continue;
+        } else {
+            // Route the turn through the fused batched step in chunks;
+            // the base-class fallback makes this the scalar loop above
+            // for non-batched families, and batched ones (TAGE) are
+            // bit-identical by contract.
+            bool more = true;
+            while (more && n < opts.batch) {
+                pcs.clear();
+                taken.clear();
+                insns.clear();
+                while (pcs.size() < chunk &&
+                       n + pcs.size() < opts.batch &&
+                       (more = st.trace->next(rec))) {
+                    pcs.push_back(rec.pc);
+                    taken.push_back(rec.taken ? 1 : 0);
+                    insns.push_back(uint64_t{rec.instructionsBefore} + 1);
                 }
-                metrics.admissions.add();
-                live.push_back(idx);
-                while (cap != 0 && live.size() > cap) {
-                    const size_t victim = live.front();
-                    live.pop_front();
-                    StreamState& vs = (*sh.streams)[victim];
-                    metrics.evictions.add();
-                    if (Err e = evictStream(sh, vs); e.failed()) {
-                        // The victim, not the stream being admitted,
-                        // is the one that failed.
-                        if (!failStream(vs, std::move(e)))
-                            return;
-                        --remaining;
-                    }
-                }
-            }
-
-            const uint64_t start_ns = wallclock::monotonicNanos();
-            BranchRecord rec;
-            uint64_t n = 0;
-            GradedPredictor& predictor = *st.predictor;
-            ClassStats& stats = st.result.stats;
-            BinaryConfidenceMetrics& confusion = st.result.confusion;
-            if (opts.forceScalar) {
-                while (n < opts.batch && st.trace->next(rec)) {
-                    const Prediction p = predictor.predict(rec.pc);
-                    const bool mispredicted = p.taken != rec.taken;
-                    stats.record(p.cls, mispredicted,
-                                 uint64_t{rec.instructionsBefore} + 1);
-                    confusion.record(p.confidence ==
+                const size_t filled = pcs.size();
+                if (filled == 0)
+                    break;
+                predictor.predictMany(
+                    std::span<const uint64_t>(pcs.data(), filled),
+                    std::span<const uint8_t>(taken.data(), filled),
+                    std::span<Prediction>(preds.data(), filled));
+                for (size_t k = 0; k < filled; ++k) {
+                    const bool mispredicted =
+                        preds[k].taken != (taken[k] != 0);
+                    stats.record(preds[k].cls, mispredicted, insns[k]);
+                    confusion.record(preds[k].confidence ==
                                          ConfidenceLevel::High,
                                      !mispredicted);
-                    predictor.update(rec.pc, p, rec.taken);
-                    ++n;
                 }
-            } else {
-                // Route the turn through the fused batched step in
-                // chunks; the base-class fallback makes this the
-                // scalar loop above for non-batched families, and
-                // batched ones (TAGE) are bit-identical by contract.
-                bool more = true;
-                while (more && n < opts.batch) {
-                    pcs.clear();
-                    taken.clear();
-                    insns.clear();
-                    while (pcs.size() < chunk &&
-                           n + pcs.size() < opts.batch &&
-                           (more = st.trace->next(rec))) {
-                        pcs.push_back(rec.pc);
-                        taken.push_back(rec.taken ? 1 : 0);
-                        insns.push_back(
-                            uint64_t{rec.instructionsBefore} + 1);
-                    }
-                    const size_t filled = pcs.size();
-                    if (filled == 0)
-                        break;
-                    predictor.predictMany(
-                        std::span<const uint64_t>(pcs.data(), filled),
-                        std::span<const uint8_t>(taken.data(), filled),
-                        std::span<Prediction>(preds.data(), filled));
-                    for (size_t k = 0; k < filled; ++k) {
-                        const bool mispredicted =
-                            preds[k].taken != (taken[k] != 0);
-                        stats.record(preds[k].cls, mispredicted,
-                                     insns[k]);
-                        confusion.record(preds[k].confidence ==
-                                             ConfidenceLevel::High,
-                                         !mispredicted);
-                    }
-                    n += filled;
-                }
-            }
-            st.consumed += n;
-            st.result.branchesServed += n;
-            metrics.turns.add();
-            metrics.predictions.add(n);
-            if (n > 0) {
-                const uint64_t end_ns = wallclock::monotonicNanos();
-                metrics.turnNs.record(end_ns - start_ns);
-                const double elapsed_ns =
-                    wallclock::nanosBetween(start_ns, end_ns);
-                latency.push_back(elapsed_ns /
-                                  static_cast<double>(n));
-            }
-            // A short turn means exhaustion — or a failed source;
-            // check before treating the stream as cleanly finished.
-            if (const Err* te = st.trace->lastError()) {
-                eraseLive(idx);
-                if (!failStream(st, *te))
-                    return;
-                --remaining;
-                continue;
-            }
-            if (n < opts.batch) {
-                eraseLive(idx);
-                if (Err e = finalizeStream(sh, st); e.failed()) {
-                    if (!failStream(st, std::move(e)))
-                        return;
-                }
-                --remaining;
+                n += filled;
             }
         }
+        st.consumed += n;
+        st.result.branchesServed += n;
+        metrics.turns.add();
+        metrics.predictions.add(n);
+        if (n > 0) {
+            const uint64_t end_ns = wallclock::monotonicNanos();
+            metrics.turnNs.record(end_ns - start_ns);
+            const double elapsed_ns =
+                wallclock::nanosBetween(start_ns, end_ns);
+            latency.push_back(elapsed_ns / static_cast<double>(n));
+        }
+        // A short turn means exhaustion — or a failed source; check
+        // before treating the stream as cleanly finished.
+        if (const Err* te = st.trace->lastError())
+            return failStream(st, *te);
+        if (n < opts.batch) {
+            if (Err e = finalizeStream(sh, st); e.failed())
+                return failStream(st, std::move(e));
+        }
+        return true;
+    };
+
+    const size_t pool = opts.poolPerShard == 0
+                            ? members.size()
+                            : std::min<size_t>(opts.poolPerShard,
+                                               members.size());
+    std::vector<size_t> cohort(members.begin(), members.begin() + pool);
+    size_t next_waiting = pool;
+    while (!cohort.empty()) {
+        // One round: a turn per cohort stream, compacting finished
+        // streams out and backfilling their slots in member order.
+        size_t kept = 0;
+        for (size_t slot = 0; slot < cohort.size(); ++slot) {
+            if (sh.failed.load(std::memory_order_relaxed))
+                return;
+            StreamState& st = (*sh.streams)[cohort[slot]];
+            if (!serveTurn(st))
+                return;
+            if (!st.done)
+                cohort[kept++] = cohort[slot];
+            else if (next_waiting < members.size())
+                cohort[kept++] = members[next_waiting++];
+        }
+        cohort.resize(kept);
     }
 
     MutexLock lock(sh.latencyMutex);
@@ -530,17 +465,15 @@ ServingEngine::validate(std::string* error)
             *error = why;
         return false;
     }
-    const bool needs_snapshot = opts_.poolPerShard != 0 ||
-                                !opts_.checkpointDir.empty() ||
+    const bool needs_snapshot = !opts_.checkpointDir.empty() ||
                                 !opts_.restoreDir.empty() ||
                                 opts_.computeDigests;
     if (needs_snapshot) {
         StateWriter w;
         if (!probe->snapshot(w, why)) {
             if (error)
-                *error = why +
-                         " (use an unbounded pool and no "
-                         "checkpointing to serve it anyway)";
+                *error = why + " (serve it without checkpoints or "
+                               "digests)";
             return false;
         }
     }
@@ -550,6 +483,7 @@ ServingEngine::validate(std::string* error)
         return false;
     }
     opts_.spec = canonical;
+    storageBits_ = probe->storageBits();
     validated_ = true;
     return true;
 }
@@ -592,7 +526,6 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
     ServeShared sh;
     sh.opts = &opts_;
     sh.streams = &states;
-    sh.shardStreams = &shard_streams;
 
     const uint64_t wall_start_ns = wallclock::monotonicNanos();
     auto worker = [&sh, &shard_streams]() {
@@ -658,10 +591,7 @@ ServingEngine::serve(const std::vector<StreamDesc>& streams,
     obs::counter("serve.streams.restored").add(out.streamsRestored);
     obs::counter("serve.allocs").add(out.totalAllocations);
     obs::counter("serve.retries").add(out.totalRetries);
-    {
-        auto probe = tryMakePredictor(opts_.spec, nullptr);
-        out.storageBits = probe ? probe->storageBits() : 0;
-    }
+    out.storageBits = storageBits_;
 
     out.timing.wallSeconds = wall;
     if (wall > 0.0) {

@@ -8,18 +8,20 @@
  * i % shards, one worker owns a whole shard at a time (workers pull
  * shards off an atomic counter), so stream state needs no locking.
  * Within a shard, streams advance round-robin in batches of
- * ServeOptions::batch predictions. Predictor state is pooled per
- * shard: at most poolPerShard predictors are resident; the rest are
- * parked as snapshot() blobs and restored on re-admission — the
- * checkpoint layer doubles as the eviction format, so a 10k-stream
+ * ServeOptions::batch predictions over a cohort of at most
+ * poolPerShard streams: the pool is the number of streams a shard
+ * serves at once. A stream joins the cohort once and stays until it
+ * finishes or is quarantined; its slot then passes to the next waiting
+ * member. Waiting streams hold no state (no predictor, no open trace)
+ * and wait for a free slot instead of time-sharing, so a 10k-stream
  * serve stays within a bounded memory footprint.
  *
  * Determinism: each stream's trajectory is a pure function of its
- * (spec, trace, branches, seedSalt) and snapshot/restore round-trips
- * are bit-exact, so per-stream results are identical at any --jobs,
- * shard count, pool bound or batch size. Wall-clock timing
- * (ServeTiming) is the only non-deterministic output and is kept
- * separate so drivers can diff the deterministic part byte for byte.
+ * (spec, trace, branches, seedSalt), so per-stream results are
+ * identical at any --jobs, shard count, pool bound or batch size.
+ * Wall-clock timing (ServeTiming) is the only non-deterministic output
+ * and is kept separate so drivers can diff the deterministic part byte
+ * for byte.
  *
  * Fault isolation: a stream whose trace or checkpoint I/O fails is
  * quarantined — its typed Err is recorded in StreamResult::fault, its
@@ -88,9 +90,9 @@ struct ServeOptions {
     unsigned shards = 0;
 
     /**
-     * Resident predictors per shard; streams beyond this are parked as
-     * snapshot blobs between batches. 0 means unbounded (every stream
-     * keeps a live predictor — fastest, largest footprint).
+     * Streams a shard serves at once; the rest wait, holding no state,
+     * for a cohort slot to free up. 0 means unbounded (every stream of
+     * the shard is live from the start — largest footprint).
      */
     unsigned poolPerShard = 8;
 
@@ -193,8 +195,8 @@ struct StreamResult {
     /**
      * Tagged-table entries the stream's predictor allocated over its
      * whole lifetime (GradedPredictor::allocations()). Serialized in
-     * snapshots, so eviction/restore round-trips preserve it — a pure
-     * function of the stream recipe, invariant to jobs/shards/pool.
+     * snapshots, so a checkpoint resume preserves it — a pure function
+     * of the stream recipe, invariant to jobs/shards/pool.
      */
     uint64_t allocations = 0;
 
@@ -268,9 +270,9 @@ class ServingEngine
 
     /**
      * Check the options: the spec must be constructible, and snapshot
-     * support is required whenever the pool is bounded or
-     * checkpoint/restore/digests are requested. Returns false with the
-     * reason in @p error. serve() calls this implicitly.
+     * support is required whenever checkpoint/restore/digests are
+     * requested. Returns false with the reason in @p error. serve()
+     * calls this implicitly.
      */
     [[nodiscard]] bool validate(std::string* error = nullptr);
 
@@ -291,6 +293,9 @@ class ServingEngine
   private:
     ServeOptions opts_;
     bool validated_ = false;
+
+    /** storageBits() of the predictor validate() probed. */
+    uint64_t storageBits_ = 0;
 };
 
 } // namespace tagecon

@@ -321,6 +321,31 @@ TEST_F(ObsMetricsTest, FaultedServeDeterministicSectionIsJobsInvariant)
               std::string::npos);
 }
 
+TEST_F(ObsMetricsTest, BoundedPoolAdmitsEveryStreamExactlyOnce)
+{
+    // A shard serves pool-sized cohorts to completion, so each stream
+    // is admitted once however small the pool is against the shard.
+    for (const unsigned pool : {1u, 2u}) {
+        obs::resetAllMetrics();
+        ServeOptions opts;
+        opts.spec = "tage16k+sfc";
+        opts.jobs = 2;
+        opts.shards = 3;
+        opts.poolPerShard = pool;
+        opts.batch = 97;
+        ServingEngine engine(opts);
+        ServeResult result;
+        std::string error;
+        ASSERT_TRUE(engine.serve(
+            StreamSet::roundRobin(16, twoCbp1Traces(), 600, 0), result,
+            error))
+            << error;
+        EXPECT_EQ(result.streamsServed, 16u);
+        EXPECT_EQ(obs::counter("serve.pool.admissions").value(), 16u)
+            << "pool " << pool;
+    }
+}
+
 TEST_F(ObsMetricsTest, SweepCountersTrackPlanAndCacheAndAreJobsInvariant)
 {
     auto run = [&](unsigned jobs) {

@@ -71,9 +71,9 @@ expectSameServe(const ServeResult& a, const ServeResult& b)
         EXPECT_EQ(x.trace, y.trace);
         EXPECT_EQ(x.branchesServed, y.branchesServed);
         EXPECT_EQ(x.stateDigest, y.stateDigest) << "stream " << x.id;
-        // Config-invariant per-stream metrics: allocations ride in
-        // snapshots across evictions, checkpoint blobs are
-        // bit-identical across configs by contract.
+        // Config-invariant per-stream metrics: allocations are a pure
+        // function of the stream, checkpoint blobs are bit-identical
+        // across configs by contract.
         EXPECT_EQ(x.allocations, y.allocations) << "stream " << x.id;
         EXPECT_EQ(x.checkpointBytes, y.checkpointBytes)
             << "stream " << x.id;
@@ -123,7 +123,7 @@ TEST(ServingEngine, ResultsIdenticalAtAnyJobsShardsPoolBatch)
     base.spec = "tage16k+sfc";
     base.jobs = 1;
     base.shards = 1;
-    base.poolPerShard = 0; // unbounded: no evictions at all
+    base.poolPerShard = 0; // every member of a shard served at once
     base.batch = 1u << 20; // one turn per stream
     base.computeDigests = true;
     const ServeResult reference = serveOrDie(base, streams);
@@ -139,7 +139,7 @@ TEST(ServingEngine, ResultsIdenticalAtAnyJobsShardsPoolBatch)
     ServeOptions threaded = base;
     threaded.jobs = 4;
     threaded.shards = 7;
-    threaded.poolPerShard = 2; // constant eviction/restore churn
+    threaded.poolPerShard = 2; // cohorts of two, backfilled as they end
     threaded.batch = 57;
     expectSameServe(reference, serveOrDie(threaded, streams));
 
@@ -165,7 +165,7 @@ TEST(ServingEngine, CheckpointResumeMatchesUninterruptedServe)
     opts.batch = 128;
     opts.computeDigests = true;
 
-    // Phase 1: serve the first 450 branches, parking every stream.
+    // Phase 1: serve the first 450 branches, checkpointing every stream.
     opts.checkpointDir = dir_half.string();
     serveOrDie(opts, StreamSet::roundRobin(6, traces, 450, 0));
 
@@ -252,12 +252,20 @@ TEST(ServingEngine, RejectsBadOptionsAndDuplicateIds)
     std::string error;
     EXPECT_FALSE(ServingEngine(opts).validate(&error));
 
-    // A bounded pool needs snapshot support to park streams; a
-    // stateful estimator has none.
+    // Checkpoints and digests need snapshot support; a stateful
+    // estimator has none. The pool bound alone needs none.
     opts.spec = "gshare+jrs";
     opts.poolPerShard = 8;
+    EXPECT_TRUE(ServingEngine(opts).validate(&error)) << error;
+    ServeOptions digests = opts;
+    digests.computeDigests = true;
     error.clear();
-    EXPECT_FALSE(ServingEngine(opts).validate(&error));
+    EXPECT_FALSE(ServingEngine(digests).validate(&error));
+    EXPECT_NE(error.find("not supported"), std::string::npos) << error;
+    ServeOptions checkpoints = opts;
+    checkpoints.checkpointDir = "unused";
+    error.clear();
+    EXPECT_FALSE(ServingEngine(checkpoints).validate(&error));
     EXPECT_NE(error.find("not supported"), std::string::npos) << error;
 
     opts.spec = "tage16k+sfc";
@@ -274,8 +282,9 @@ TEST(ServingEngine, RejectsBadOptionsAndDuplicateIds)
 
 TEST(ServingEngine, UnboundedPoolServesSnapshotFreeFamilies)
 {
-    // Without parking, checkpointing or digests, snapshot support is
-    // not required — a stateful-estimator spec still serves fine.
+    // Without checkpointing or digests, snapshot support is not
+    // required — a stateful-estimator spec still serves fine, with an
+    // unbounded or a bounded pool (nothing is ever evicted).
     ServeOptions opts;
     opts.spec = "gshare+jrs";
     opts.poolPerShard = 0;
@@ -287,6 +296,13 @@ TEST(ServingEngine, UnboundedPoolServesSnapshotFreeFamilies)
     EXPECT_EQ(result.totalBranches, 8u * 500u);
     for (const auto& s : result.perStream)
         EXPECT_EQ(s.stateDigest, 0u);
+
+    ServeOptions pooled = opts;
+    pooled.poolPerShard = 2;
+    pooled.shards = 1;
+    pooled.batch = 97;
+    const ServeResult cohorts = serveOrDie(pooled, streams);
+    expectSameServe(result, cohorts);
 }
 
 /** Swallow quarantine warn() lines so test output stays readable. */

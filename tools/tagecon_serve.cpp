@@ -21,9 +21,9 @@
  *   --jobs=N             worker threads, 1-1024. Per-stream results
  *                        are bit-identical at any value.
  *   --shards=N           dispatch shards (default 4 x jobs)
- *   --pool=N             resident predictors per shard; streams beyond
- *                        it are parked as snapshot blobs between
- *                        batches (default 8; 0 = unbounded)
+ *   --pool=N             streams a shard serves at once; the rest
+ *                        wait, holding no state, for a free slot
+ *                        (default 8; 0 = unbounded)
  *   --batch=N            predictions per stream per turn (default 512)
  *   --checkpoint-dir=D   write each finished stream's state as
  *                        D/stream-<id>.tcsp
@@ -224,8 +224,8 @@ main(int argc, char** argv)
         t.addColumn("resumed-at");
         t.addColumn("misp/KI");
         t.addColumn("misp rate (MKP)");
-        // Both config-invariant: allocations ride in snapshots across
-        // evictions, checkpoint blobs are bit-identical by contract.
+        // Both config-invariant: allocations are a pure function of
+        // the stream, checkpoint blobs are bit-identical by contract.
         t.addColumn("allocs");
         t.addColumn("ckpt-bytes");
         if (opts.computeDigests)
