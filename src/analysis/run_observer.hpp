@@ -5,10 +5,13 @@
  * observer accumulates its own view and writes it into the run's
  * RunAnalysis bag when the trace ends.
  *
- * Observers see the stream *after* grading but *before* the
- * predictor's update for that branch — the same point the run's
- * ClassStats are recorded at — so every observer total is consistent
- * with the whole-trace statistics by construction.
+ * The replay loop (ReplayStep, sim/experiment.hpp) runs the predictor
+ * a chunk at a time through predictMany() and then feeds each graded,
+ * resolved prediction to the observers in stream order, right after
+ * recording it into the run's ClassStats — so every observer total is
+ * consistent with the whole-trace statistics by construction. An
+ * observer cannot tell that the predictor has already trained on the
+ * rest of the chunk: it sees only the stream.
  *
  * Built-in observers live in analysis/observers.hpp; selection and
  * construction go through AnalysisConfig (analysis/analysis_config.hpp)

@@ -91,14 +91,6 @@ class GradedPredictor
     virtual void update(uint64_t pc, const Prediction& p, bool taken) = 0;
 
     /**
-     * True when predictMany() is a genuinely batched implementation
-     * rather than the scalar fallback loop. Callers may route through
-     * predictMany() unconditionally — the fallback is bit-identical —
-     * so this only informs reporting and gating decisions.
-     */
-    virtual bool hasBatchedPredict() const { return false; }
-
-    /**
      * Fused batched step over a batch of resolved branches: for each
      * element k, out[k] receives the Prediction the scalar
      * predict(pcs[k]) would have produced at that point, and the
@@ -117,22 +109,6 @@ class GradedPredictor
             out[k] = predict(pcs[k]);
             update(pcs[k], out[k], taken[k] != 0);
         }
-    }
-
-    /**
-     * Batched replay training: update(pcs[k], preds[k], taken[k]) for
-     * every element, prefetched where the family supports it. Only
-     * valid where the equivalent scalar update() sequence would be —
-     * families that route per-lookup state through Prediction::payload
-     * still require each update to follow its own predict.
-     */
-    virtual void
-    updateMany(std::span<const uint64_t> pcs,
-               std::span<const Prediction> preds,
-               std::span<const uint8_t> taken)
-    {
-        for (size_t k = 0; k < pcs.size(); ++k)
-            update(pcs[k], preds[k], taken[k] != 0);
     }
 
     /** Total storage in bits, including any attached estimator. */
@@ -295,12 +271,6 @@ class EstimatedPredictor : public GradedPredictor
      * estimator must interleave grade()/onResolve() per element, which
      * is exactly the scalar fallback loop.
      */
-    bool
-    hasBatchedPredict() const override
-    {
-        return transparentEstimator() && host_->hasBatchedPredict();
-    }
-
     void
     predictMany(std::span<const uint64_t> pcs,
                 std::span<const uint8_t> taken,

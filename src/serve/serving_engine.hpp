@@ -119,14 +119,6 @@ struct ServeOptions {
     bool computeDigests = false;
 
     /**
-     * Serve with the scalar predict/update loop instead of routing
-     * each scheduling turn through predictMany(). The two paths are
-     * bit-identical by contract; CI diffs their outputs. Debug /
-     * verification knob ("tagecon_serve --scalar").
-     */
-    bool forceScalar = false;
-
-    /**
      * Fail fast: the first stream error aborts the whole serve (the
      * pre-quarantine behavior). Default is to quarantine the failed
      * stream and keep serving the rest.

@@ -1,249 +1,91 @@
 #include "sim/experiment.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <span>
-#include <vector>
-
-#include "sim/registry.hpp"
-#include "tage/graded_tage.hpp"
-#include "util/logging.hpp"
 
 namespace tagecon {
 
 namespace {
 
-/** Accumulate one trace run into a set-level result. */
-void
-foldIntoSet(SetResult& sr, RunResult&& rr, double& mpki_sum)
-{
-    sr.aggregate.merge(rr.stats);
-    sr.confusion.merge(rr.confusion);
-    // ordered-reduction: callers fold traces serially in set order.
-    mpki_sum += rr.stats.mpki();
-    sr.perTrace.push_back(std::move(rr));
-}
-
-void
-finishSet(SetResult& sr, double mpki_sum)
-{
-    sr.meanMpki = sr.perTrace.empty()
-                      ? 0.0
-                      : mpki_sum / static_cast<double>(sr.perTrace.size());
-}
+/** Records per predictMany() call. */
+constexpr size_t kChunk = 512;
 
 } // namespace
 
-namespace {
-
-/** Internal batch size of runTrace()'s predictMany() fast path. */
-constexpr size_t kTraceBatch = 512;
-
-} // namespace
-
-RunResult
-runTrace(TraceSource& trace, GradedPredictor& predictor)
+ReplayStep::ReplayStep()
+    : pcs_(kChunk), taken_(kChunk), insns_(kChunk), preds_(kChunk)
 {
-    RunResult result;
-    result.traceName = trace.name();
-    result.configName = predictor.name();
-
-    BranchRecord rec;
-    if (predictor.hasBatchedPredict()) {
-        // Batched inner loop: buffer up to kTraceBatch resolved
-        // branches and run them through the fused batched step, which
-        // is bit-identical to the scalar loop below. Stats are folded
-        // in the same element order, so the result is unchanged.
-        std::vector<uint64_t> pcs;
-        std::vector<uint8_t> taken;
-        std::vector<uint64_t> insns;
-        std::vector<Prediction> preds(kTraceBatch);
-        pcs.reserve(kTraceBatch);
-        taken.reserve(kTraceBatch);
-        insns.reserve(kTraceBatch);
-        bool more = true;
-        while (more) {
-            pcs.clear();
-            taken.clear();
-            insns.clear();
-            while (pcs.size() < kTraceBatch && (more = trace.next(rec))) {
-                pcs.push_back(rec.pc);
-                taken.push_back(rec.taken ? 1 : 0);
-                insns.push_back(uint64_t{rec.instructionsBefore} + 1);
-            }
-            const size_t n = pcs.size();
-            if (n == 0)
-                break;
-            predictor.predictMany(
-                std::span<const uint64_t>(pcs.data(), n),
-                std::span<const uint8_t>(taken.data(), n),
-                std::span<Prediction>(preds.data(), n));
-            for (size_t k = 0; k < n; ++k) {
-                const bool mispredicted =
-                    preds[k].taken != (taken[k] != 0);
-                result.stats.record(preds[k].cls, mispredicted,
-                                    insns[k]);
-                result.confusion.record(preds[k].confidence ==
-                                            ConfidenceLevel::High,
-                                        !mispredicted);
-            }
-        }
-    } else {
-        while (trace.next(rec)) {
-            const Prediction p = predictor.predict(rec.pc);
-            const bool mispredicted = p.taken != rec.taken;
-
-            result.stats.record(p.cls, mispredicted,
-                                uint64_t{rec.instructionsBefore} + 1);
-            result.confusion.record(
-                p.confidence == ConfidenceLevel::High, !mispredicted);
-
-            predictor.update(rec.pc, p, rec.taken);
-        }
-    }
-
-    result.finalLog2Prob = predictor.satLog2Prob();
-    result.allocations = predictor.allocations();
-    result.storageBits = predictor.storageBits();
-    return result;
 }
 
-RunResult
-runTrace(TraceSource& trace, GradedPredictor& predictor,
-         ObserverList& observers)
+ReplayOutcome
+ReplayStep::run(TraceSource& trace, GradedPredictor& predictor,
+                uint64_t limit, ClassStats& stats,
+                BinaryConfidenceMetrics& confusion,
+                ObserverList* observers)
 {
-    // Zero-cost when absent: the plain loop carries no observer
-    // dispatch at all, and the micro-bench gate holds trivially.
-    if (observers.empty())
-        return runTrace(trace, predictor);
-
-    RunResult result;
-    result.traceName = trace.name();
-    result.configName = predictor.name();
-
+    ReplayOutcome outcome;
     BranchRecord rec;
-    uint64_t index = 0;
-    while (trace.next(rec)) {
-        const Prediction p = predictor.predict(rec.pc);
-        const bool mispredicted = p.taken != rec.taken;
-        const uint64_t instructions =
-            uint64_t{rec.instructionsBefore} + 1;
-
-        result.stats.record(p.cls, mispredicted, instructions);
-        result.confusion.record(
-            p.confidence == ConfidenceLevel::High, !mispredicted);
-
-        const ObservedPrediction observed{
-            rec.pc, p, rec.taken, mispredicted, instructions, index};
-        for (auto& observer : observers)
-            observer->onPrediction(observed);
-
-        predictor.update(rec.pc, p, rec.taken);
-        ++index;
+    while (outcome.served < limit) {
+        const size_t want = static_cast<size_t>(
+            std::min<uint64_t>(kChunk, limit - outcome.served));
+        size_t n = 0;
+        while (n < want && trace.next(rec)) {
+            pcs_[n] = rec.pc;
+            taken_[n] = rec.taken ? 1 : 0;
+            insns_[n] = uint64_t{rec.instructionsBefore} + 1;
+            ++n;
+        }
+        if (n == 0)
+            break;
+        predictor.predictMany(std::span<const uint64_t>(pcs_.data(), n),
+                              std::span<const uint8_t>(taken_.data(), n),
+                              std::span<Prediction>(preds_.data(), n));
+        for (size_t k = 0; k < n; ++k) {
+            const bool taken = taken_[k] != 0;
+            const bool mispredicted = preds_[k].taken != taken;
+            stats.record(preds_[k].cls, mispredicted, insns_[k]);
+            confusion.record(preds_[k].confidence == ConfidenceLevel::High,
+                             !mispredicted);
+            if (observers == nullptr)
+                continue;
+            const ObservedPrediction observed{pcs_[k],   preds_[k],
+                                              taken,     mispredicted,
+                                              insns_[k], outcome.served + k};
+            for (auto& observer : *observers)
+                observer->onPrediction(observed);
+        }
+        outcome.served += n;
+        if (n < want)
+            break;
     }
-
-    for (auto& observer : observers)
-        observer->finish(result.analysis);
-
-    result.finalLog2Prob = predictor.satLog2Prob();
-    result.allocations = predictor.allocations();
-    result.storageBits = predictor.storageBits();
-    return result;
+    if (const Err* e = trace.lastError())
+        outcome.error = *e;
+    return outcome;
 }
 
 RunResult
 runTrace(TraceSource& trace, GradedPredictor& predictor,
          const AnalysisConfig& analysis)
 {
-    if (!analysis.enabled())
-        return runTrace(trace, predictor);
+    RunResult result;
+    result.traceName = trace.name();
+    result.configName = predictor.name();
+
     ObserverList observers = buildObservers(analysis);
-    return runTrace(trace, predictor, observers);
-}
+    ReplayStep step;
+    ReplayOutcome outcome =
+        step.run(trace, predictor, std::numeric_limits<uint64_t>::max(),
+                 result.stats, result.confusion,
+                 observers.empty() ? nullptr : &observers);
+    for (auto& observer : observers)
+        observer->finish(result.analysis);
+    result.traceError = std::move(outcome.error);
 
-SetResult
-runBenchmarkSet(BenchmarkSet set, const std::string& spec,
-                uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    SetResult sr;
-    sr.set = set;
-    double mpki_sum = 0.0;
-    for (const auto& name : traceNames(set)) {
-        SyntheticTrace trace =
-            makeTrace(name, branches_per_trace, seed_salt);
-        auto predictor = makePredictor(spec);
-        foldIntoSet(sr, runTrace(trace, *predictor), mpki_sum);
-    }
-    finishSet(sr, mpki_sum);
-    return sr;
-}
-
-RunResult
-runNamedTrace(const std::string& trace_name, const std::string& spec,
-              uint64_t branches, uint64_t seed_salt)
-{
-    SyntheticTrace trace = makeTrace(trace_name, branches, seed_salt);
-    auto predictor = makePredictor(spec);
-    return runTrace(trace, *predictor);
-}
-
-RunResult
-runSets(const std::vector<BenchmarkSet>& sets, const std::string& spec,
-        uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    RunResult pooled;
-    pooled.configName = canonicalizeSpec(spec);
-    std::string names;
-    for (const BenchmarkSet set : sets) {
-        names += (names.empty() ? "" : "+") + benchmarkSetName(set);
-        const SetResult sr =
-            runBenchmarkSet(set, spec, branches_per_trace, seed_salt);
-        pooled.stats.merge(sr.aggregate);
-        pooled.confusion.merge(sr.confusion);
-        if (!sr.perTrace.empty())
-            pooled.storageBits = sr.perTrace.back().storageBits;
-    }
-    pooled.traceName = names;
-    return pooled;
-}
-
-RunResult
-runTrace(TraceSource& trace, const RunConfig& cfg)
-{
-    if (cfg.adaptive && !cfg.predictor.probabilisticSaturation)
-        fatal("adaptive runs require probabilisticSaturation");
-
-    GradedTageOptions opt;
-    opt.bimWindow = cfg.bimWindow;
-    opt.adaptive = cfg.adaptive;
-    opt.adaptiveConfig = cfg.adaptiveConfig;
-    GradedTage predictor(cfg.predictor, opt);
-
-    RunResult result = runTrace(trace, predictor);
-    result.configName = cfg.predictor.name;
+    result.finalLog2Prob = predictor.satLog2Prob();
+    result.allocations = predictor.allocations();
+    result.storageBits = predictor.storageBits();
     return result;
-}
-
-SetResult
-runBenchmarkSet(BenchmarkSet set, const RunConfig& cfg,
-                uint64_t branches_per_trace, uint64_t seed_salt)
-{
-    SetResult sr;
-    sr.set = set;
-    double mpki_sum = 0.0;
-    for (const auto& name : traceNames(set)) {
-        SyntheticTrace trace =
-            makeTrace(name, branches_per_trace, seed_salt);
-        foldIntoSet(sr, runTrace(trace, cfg), mpki_sum);
-    }
-    finishSet(sr, mpki_sum);
-    return sr;
-}
-
-RunResult
-runNamedTrace(const std::string& trace_name, const RunConfig& cfg,
-              uint64_t branches, uint64_t seed_salt)
-{
-    SyntheticTrace trace = makeTrace(trace_name, branches, seed_salt);
-    return runTrace(trace, cfg);
 }
 
 } // namespace tagecon

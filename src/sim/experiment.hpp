@@ -1,14 +1,13 @@
 /**
  * @file
- * Trace-driven experiment driver. One generic loop — runTrace(trace,
- * predictor) — drives any GradedPredictor built by hand or through the
- * registry (sim/registry.hpp) over any TraceSource, producing the
- * per-class statistics every table and figure of the paper is built
- * from plus the binary (high/low) confidence confusion the comparison
- * benches score with.
- *
- * The original TAGE-specific entry points (RunConfig overloads) are
- * kept and are now thin shims over the generic loop.
+ * Trace-driven experiments. One replay loop — ReplayStep — runs
+ * any GradedPredictor built by hand or through the registry
+ * (sim/registry.hpp) over any TraceSource, in stream order, through
+ * the predictor's fused predictMany() step. runTrace() is that step run
+ * to the end of the trace; the serving engine runs it one scheduling
+ * turn at a time. Both produce the per-class statistics every table
+ * and figure of the paper is built from plus the binary (high/low)
+ * confidence confusion the comparison benches score with.
  */
 
 #ifndef TAGECON_SIM_EXPERIMENT_HPP
@@ -20,33 +19,14 @@
 #include "analysis/analysis_config.hpp"
 #include "analysis/run_analysis.hpp"
 #include "analysis/run_observer.hpp"
-#include "core/adaptive_probability.hpp"
 #include "core/binary_metrics.hpp"
 #include "core/class_stats.hpp"
 #include "core/graded_predictor.hpp"
-#include "tage/tage_config.hpp"
 #include "trace/profiles.hpp"
 #include "trace/trace_source.hpp"
+#include "util/errors.hpp"
 
 namespace tagecon {
-
-/** Everything that parameterizes one TAGE simulation run (legacy). */
-struct RunConfig {
-    /** Predictor configuration (Sec. 4 sizes or custom). */
-    TageConfig predictor;
-
-    /** medium-conf-bim burst window (Sec. 5.1.2); paper uses 8. */
-    int bimWindow = 8;
-
-    /**
-     * Drive the saturation probability with the adaptive controller of
-     * Sec. 6.2. Requires predictor.probabilisticSaturation.
-     */
-    bool adaptive = false;
-
-    /** Controller parameters when adaptive is set. */
-    AdaptiveProbabilityController::Config adaptiveConfig{};
-};
 
 /** Outcome of simulating one trace. */
 struct RunResult {
@@ -75,99 +55,67 @@ struct RunResult {
 
     /**
      * Results of the run-analysis observers attached to the run
-     * (empty for plain runs, which stay on the zero-overhead loop).
+     * (empty for plain runs).
      */
     RunAnalysis analysis;
+
+    /**
+     * Why the trace ended early (a truncated or malformed file), or
+     * ok() when it was replayed to its clean end. The statistics then
+     * cover only the records read before the failure.
+     */
+    Err traceError;
 };
 
-/** Outcome of simulating a whole benchmark set. */
-struct SetResult {
-    BenchmarkSet set;
+/** What one ReplayStep::run() call did. */
+struct ReplayOutcome {
+    /** Records replayed: predicted, trained and recorded. */
+    uint64_t served = 0;
 
-    /** One result per trace, in the set's canonical order. */
-    std::vector<RunResult> perTrace;
-
-    /** Pooled statistics over all branches of the set. */
-    ClassStats aggregate;
-
-    /** Pooled binary confidence confusion over the set. */
-    BinaryConfidenceMetrics confusion;
-
-    /** Arithmetic mean of per-trace MPKI (the paper's misp/KI rows). */
-    double meanMpki = 0.0;
+    /** The trace's lastError() after the call; ok() when clean. */
+    Err error;
 };
 
-// ------------------------------------------------- generic drive loop
-
 /**
- * Simulate @p trace (from its current position) on @p predictor — the
- * single generic loop every experiment goes through.
+ * The one in-order replay loop. Owns reusable chunk buffers, so a
+ * caller replaying many turns (the serving engine, one step per shard)
+ * allocates them once.
  */
-RunResult runTrace(TraceSource& trace, GradedPredictor& predictor);
+class ReplayStep
+{
+  public:
+    ReplayStep();
+
+    /**
+     * Replay up to @p limit records of @p trace through @p predictor:
+     * fill a chunk of at most 512 records, run it through
+     * predictMany() (bit-identical to the scalar predict/update loop),
+     * then record every element into @p stats and @p confusion and
+     * feed it to @p observers (when non-null), in element order, with
+     * its index counted from the start of this call. Stops early at
+     * the end of the trace or when the trace fails.
+     */
+    ReplayOutcome run(TraceSource& trace, GradedPredictor& predictor,
+                      uint64_t limit, ClassStats& stats,
+                      BinaryConfidenceMetrics& confusion,
+                      ObserverList* observers = nullptr);
+
+  private:
+    std::vector<uint64_t> pcs_;
+    std::vector<uint8_t> taken_;
+    std::vector<uint64_t> insns_;
+    std::vector<Prediction> preds_;
+};
 
 /**
- * Like runTrace() but with a run-analysis pipeline attached: every
- * graded, resolved prediction is fed to @p observers (in list order,
- * after the run statistics are recorded, before the predictor's
- * update), and each observer's results land in RunResult::analysis.
- * An empty list delegates to the plain zero-overhead loop.
+ * Simulate @p trace (from its current position) to its end on
+ * @p predictor, with the observer pipeline described by @p analysis
+ * built fresh for this run; each observer's results land in
+ * RunResult::analysis. A trace that fails mid-stream is reported in
+ * RunResult::traceError.
  */
 RunResult runTrace(TraceSource& trace, GradedPredictor& predictor,
-                   ObserverList& observers);
-
-/**
- * Like runTrace() but building the observer pipeline described by
- * @p analysis fresh for this run. A disabled config delegates to the
- * plain zero-overhead loop.
- */
-RunResult runTrace(TraceSource& trace, GradedPredictor& predictor,
-                   const AnalysisConfig& analysis);
-
-/**
- * Simulate every trace of @p set on a fresh registry-built @p spec
- * predictor per trace, generating each trace synthetically with
- * @p branches_per_trace branches. @p seed_salt perturbs every trace's
- * profile seed (0 = the profiles' canonical streams).
- */
-SetResult runBenchmarkSet(BenchmarkSet set, const std::string& spec,
-                          uint64_t branches_per_trace,
-                          uint64_t seed_salt = 0);
-
-/**
- * Simulate one named synthetic trace of @p branches branches on a
- * fresh registry-built @p spec predictor.
- */
-RunResult runNamedTrace(const std::string& trace_name,
-                        const std::string& spec, uint64_t branches,
-                        uint64_t seed_salt = 0);
-
-/**
- * Simulate @p spec over every trace of several benchmark sets (fresh
- * predictor per trace) and pool everything into one RunResult — the
- * shape of the cross-set comparison benches.
- */
-RunResult runSets(const std::vector<BenchmarkSet>& sets,
-                  const std::string& spec, uint64_t branches_per_trace,
-                  uint64_t seed_salt = 0);
-
-// ------------------------------------------- legacy TAGE entry points
-
-/** Simulate @p trace (from its current position) under @p cfg. */
-RunResult runTrace(TraceSource& trace, const RunConfig& cfg);
-
-/**
- * Simulate every trace of @p set, generating each synthetically with
- * @p branches_per_trace branches.
- */
-SetResult runBenchmarkSet(BenchmarkSet set, const RunConfig& cfg,
-                          uint64_t branches_per_trace,
-                          uint64_t seed_salt = 0);
-
-/**
- * Simulate one named trace generated with @p branches branches.
- */
-RunResult runNamedTrace(const std::string& trace_name, const RunConfig& cfg,
-                        uint64_t branches, uint64_t seed_salt = 0);
+                   const AnalysisConfig& analysis = {});
 
 } // namespace tagecon
 

@@ -257,6 +257,15 @@ runSweep(SweepPlan plan, const SweepOptions& opt)
             t.join();
     }
 
+    // A cell whose trace failed mid-stream holds the statistics of a
+    // truncated prefix; fail the sweep (first such cell in plan order)
+    // instead of reporting them as a clean result.
+    for (const size_t i : to_run) {
+        if (results[i].traceError.failed())
+            fatal("runSweep: " + cells[i].spec + " x " + cells[i].trace +
+                  ": " + results[i].traceError.message());
+    }
+
     if (opt.cache != nullptr) {
         for (const size_t i : to_run)
             opt.cache->store(keys[i], results[i]);

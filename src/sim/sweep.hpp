@@ -261,13 +261,18 @@ struct SweepOptions {
     SweepExecStats* stats = nullptr;
 };
 
-/** Run one cell: fresh trace + fresh predictor through runTrace(). */
+/**
+ * Run one cell: fresh trace + fresh predictor through runTrace(). A
+ * trace that fails mid-stream is reported in RunResult::traceError.
+ */
 [[nodiscard]] RunResult runSweepCell(const SweepCell& cell);
 
 /**
  * Run every cell of @p plan across @p opt.jobs threads. fatal()s on an
- * invalid plan. Results are in plan.cells() order regardless of the
- * thread count or scheduling.
+ * invalid plan and, once the workers have joined, on a cell whose
+ * trace failed mid-stream (naming the cell and the reader's error).
+ * Results are in plan.cells() order regardless of the thread count or
+ * scheduling.
  */
 [[nodiscard]] std::vector<RunResult>
 runSweep(SweepPlan plan, const SweepOptions& opt = {});

@@ -48,12 +48,6 @@ GradedTage::update(uint64_t pc, const Prediction& p, bool taken)
     predictor_.update(pc, raw_, taken);
 }
 
-bool
-GradedTage::hasBatchedPredict() const
-{
-    return !controller_.has_value();
-}
-
 void
 GradedTage::predictMany(std::span<const uint64_t> pcs,
                         std::span<const uint8_t> taken,

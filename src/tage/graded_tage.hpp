@@ -54,16 +54,11 @@ class GradedTage : public GradedPredictor
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
     /**
-     * Batched: true unless the adaptive controller is attached — the
-     * controller retunes the saturation probability between elements,
-     * which the fused TAGE batch cannot replay, so adaptive stacks
-     * stay on the (bit-identical) scalar loop.
-     */
-    bool hasBatchedPredict() const override;
-
-    /**
      * Fused batched step through TagePredictor::predictMany(), with
      * the storage-free grading applied per element in scalar order.
+     * With the adaptive controller attached it is the scalar loop: the
+     * controller retunes the saturation probability between elements,
+     * which the fused TAGE batch cannot replay.
      */
     void predictMany(std::span<const uint64_t> pcs,
                      std::span<const uint8_t> taken,

@@ -551,19 +551,6 @@ TagePredictor::predictMany(std::span<const uint64_t> pcs,
 }
 
 void
-TagePredictor::updateMany(std::span<const uint64_t> pcs,
-                          std::span<const TagePrediction> preds,
-                          std::span<const uint8_t> taken)
-{
-    TAGECON_ASSERT(preds.size() >= pcs.size() &&
-                       taken.size() >= pcs.size(),
-                   "updateMany spans disagree on the batch size");
-    prefetchBatch(preds.first(pcs.size()));
-    for (size_t k = 0; k < pcs.size(); ++k)
-        update(pcs[k], preds[k], taken[k] != 0);
-}
-
-void
 TagePredictor::setSatLog2Prob(unsigned log2_prob)
 {
     TAGECON_ASSERT(log2_prob <= 15, "saturation probability too small");

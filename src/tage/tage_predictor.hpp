@@ -74,16 +74,6 @@ class TagePredictor
                      std::span<const uint8_t> taken,
                      std::span<TagePrediction> out);
 
-    /**
-     * Batched replay training: update(pcs[k], preds[k], taken[k]) for
-     * each element, with the batch's arena accesses prefetched up
-     * front. preds must hold the predictions the scalar predict()
-     * calls returned, in order.
-     */
-    void updateMany(std::span<const uint64_t> pcs,
-                    std::span<const TagePrediction> preds,
-                    std::span<const uint8_t> taken);
-
     /** The configuration this predictor was built with. */
     const TageConfig& config() const { return config_; }
 
@@ -268,8 +258,8 @@ class TagePredictor
     uint64_t uResetCountdown_ = 0;
 
     /**
-     * predictMany()/updateMany() scratch for the prefetch pass; not
-     * architectural state, excluded from saveState().
+     * predictMany() scratch for the prefetch pass; not architectural
+     * state, excluded from saveState().
      */
     std::vector<uint32_t> batchAts_;
 

@@ -3,16 +3,20 @@
  * Tests for the run-analysis observer subsystem: interval boundary
  * handling, histogram/ClassStats consistency, per-branch top-N
  * tie-breaking determinism, warmup detection, the analysis spec
- * grammar and the custom-observer registry, and the zero-observer
- * equivalence of the observer-enabled runTrace loop.
+ * grammar and the custom-observer registry, the zero-observer
+ * equivalence of the observer-enabled runTrace loop, and the equality
+ * of its batched replay with a scalar predict/update reference.
  */
 
 #include <gtest/gtest.h>
+
+#include <sstream>
 
 #include "analysis/analysis_config.hpp"
 #include "analysis/observers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
+#include "sim/reporting.hpp"
 #include "trace/profiles.hpp"
 
 namespace tagecon {
@@ -444,6 +448,68 @@ TEST(RunTraceObservers, AttachedObserversDoNotPerturbTheRun)
     ASSERT_TRUE(with.analysis.perBranch.has_value());
     EXPECT_GT(with.analysis.perBranch->distinctBranches, 0u);
     ASSERT_TRUE(with.analysis.warmup.has_value());
+}
+
+/** The analysis tables of @p rr, rendered as CSV. */
+std::string
+analysisCsv(const RunResult& rr)
+{
+    Report report;
+    addAnalysisSections(report, rr, "run");
+    std::ostringstream os;
+    report.emit(ReportFormat::Csv, os);
+    return os.str();
+}
+
+TEST(RunTraceObservers, BatchedReplayRendersTheScalarLoopsTables)
+{
+    // runTrace() grades through predictMany() and feeds the observers
+    // after each chunk; the same observers fed from a plain
+    // predict/update loop must render byte-identical tables.
+    AnalysisConfig cfg;
+    cfg.intervals = true;
+    cfg.intervalLength = 2500;
+    cfg.histogram = true;
+    cfg.burst = true;
+    cfg.perBranch = true;
+    cfg.warmup = true;
+    cfg.warmupIntervalLength = 1000;
+
+    for (const char* spec : {"tage64k+prob7+sfc", "ltage16k+sfc",
+                             "gshare+jrs"}) {
+        SCOPED_TRACE(spec);
+        SyntheticTrace t1 = makeTrace("SERV-3", 12000);
+        auto p1 = makePredictor(spec);
+        const RunResult batched = runTrace(t1, *p1, cfg);
+
+        RunResult scalar;
+        scalar.traceName = batched.traceName;
+        ObserverList observers = buildObservers(cfg);
+        SyntheticTrace t2 = makeTrace("SERV-3", 12000);
+        auto p2 = makePredictor(spec);
+        BranchRecord rec;
+        uint64_t index = 0;
+        while (t2.next(rec)) {
+            const Prediction p = p2->predict(rec.pc);
+            const ObservedPrediction o{rec.pc,
+                                       p,
+                                       rec.taken,
+                                       p.taken != rec.taken,
+                                       uint64_t{rec.instructionsBefore} +
+                                           1,
+                                       index++};
+            for (auto& observer : observers)
+                observer->onPrediction(o);
+            p2->update(rec.pc, p, rec.taken);
+        }
+        for (auto& observer : observers)
+            observer->finish(scalar.analysis);
+
+        const std::string csv = analysisCsv(batched);
+        EXPECT_FALSE(batched.analysis.empty());
+        EXPECT_NE(csv.find("perbranch"), std::string::npos);
+        EXPECT_EQ(csv, analysisCsv(scalar));
+    }
 }
 
 } // namespace

@@ -1,16 +1,22 @@
 /**
  * @file
  * Tests for the GradedPredictor API: adapter equivalence with the
- * hand-wired seed pipeline, estimator decoration, and the contract
- * checks (payload routing, reset determinism).
+ * hand-wired seed pipeline, estimator decoration, the contract checks
+ * (payload routing, reset determinism), and the bit-identity of every
+ * family's predictMany() with the scalar predict/update loop.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <span>
+#include <vector>
 
 #include "baseline/graded_baselines.hpp"
 #include "core/confidence_observer.hpp"
 #include "core/estimators.hpp"
 #include "sim/experiment.hpp"
+#include "sim/registry.hpp"
 #include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
 
@@ -51,16 +57,22 @@ TEST(GradedTage, MatchesHandWiredPipeline)
     }
 }
 
-TEST(GradedTage, LegacyRunConfigAndSpecRunsAgree)
+TEST(GradedTage, HandBuiltAndSpecRunsAgree)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const RunResult legacy = runNamedTrace("SERV-2", rc, 15000);
-    const RunResult spec = runNamedTrace("SERV-2", "tage16k+sfc", 15000);
-    EXPECT_EQ(legacy.stats.totalMispredictions(),
+    SyntheticTrace t1 = makeTrace("SERV-2", 15000);
+    GradedTage hand_built(TageConfig::small16K());
+    const RunResult hand = runTrace(t1, hand_built);
+
+    SyntheticTrace t2 = makeTrace("SERV-2", 15000);
+    auto from_spec = makePredictor("tage16k+sfc");
+    const RunResult spec = runTrace(t2, *from_spec);
+
+    EXPECT_EQ(hand.stats.totalMispredictions(),
               spec.stats.totalMispredictions());
     for (const auto c : kAllPredictionClasses)
-        EXPECT_EQ(legacy.stats.predictions(c), spec.stats.predictions(c));
+        EXPECT_EQ(hand.stats.predictions(c), spec.stats.predictions(c));
+    EXPECT_EQ(hand.confusion.highCorrect(), spec.confusion.highCorrect());
+    EXPECT_EQ(hand.allocations, spec.allocations);
 }
 
 TEST(GradedTage, StalePredictionIsFatal)
@@ -175,20 +187,102 @@ TEST(GenericRunTrace, FillsConfusionAndIdentity)
     EXPECT_EQ(r.storageBits, ogehl.storageBits());
 }
 
-TEST(GenericRunTrace, SpecSetRunMatchesLegacySetRun)
+TEST(GenericRunTrace, SpecSetRunMatchesHandBuiltSetRun)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const SetResult legacy =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 2000);
-    const SetResult spec =
-        runBenchmarkSet(BenchmarkSet::Cbp1, "tage16k+sfc", 2000);
-    ASSERT_EQ(legacy.perTrace.size(), spec.perTrace.size());
-    EXPECT_EQ(legacy.aggregate.totalMispredictions(),
-              spec.aggregate.totalMispredictions());
-    EXPECT_NEAR(legacy.meanMpki, spec.meanMpki, 1e-12);
-    EXPECT_EQ(spec.confusion.total(),
-              spec.aggregate.totalPredictions());
+    // Fold one benchmark set trace by trace, once on hand-built
+    // GradedTage predictors and once on registry-built ones.
+    ClassStats hand, spec;
+    BinaryConfidenceMetrics spec_confusion;
+    double hand_mpki = 0.0, spec_mpki = 0.0;
+    for (const auto& name : traceNames(BenchmarkSet::Cbp1)) {
+        SyntheticTrace t1 = makeTrace(name, 2000);
+        GradedTage hand_built(TageConfig::small16K());
+        const RunResult a = runTrace(t1, hand_built);
+        hand.merge(a.stats);
+        hand_mpki += a.stats.mpki();
+
+        SyntheticTrace t2 = makeTrace(name, 2000);
+        auto from_spec = makePredictor("tage16k+sfc");
+        const RunResult b = runTrace(t2, *from_spec);
+        spec.merge(b.stats);
+        spec_confusion.merge(b.confusion);
+        spec_mpki += b.stats.mpki();
+    }
+    EXPECT_EQ(hand.totalMispredictions(), spec.totalMispredictions());
+    EXPECT_EQ(hand_mpki, spec_mpki);
+    EXPECT_EQ(spec_confusion.total(), spec.totalPredictions());
+}
+
+/**
+ * predictMany() is contractually bit-identical to the scalar
+ * predict/update loop, for every family — batched (TAGE) or on the
+ * base-class fallback — and at any chunking. The reference here is
+ * the plain loop, written out locally.
+ */
+TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
+{
+    const char* const specs[] = {"tage16k+sfc",
+                                 "tage64k+prob7+sfc",
+                                 "tage64k+prob7+adaptive+sfc",
+                                 "ltage16k+sfc",
+                                 "tage64k+jrs",
+                                 "gshare+jrs",
+                                 "bimodal+sfc",
+                                 "perceptron+sfc",
+                                 "ogehl+sfc"};
+
+    std::vector<uint64_t> pcs;
+    std::vector<uint8_t> taken;
+    SyntheticTrace trace = makeTrace("INT-2", 20000);
+    BranchRecord rec;
+    while (trace.next(rec)) {
+        pcs.push_back(rec.pc);
+        taken.push_back(rec.taken ? 1 : 0);
+    }
+    const size_t n = pcs.size();
+
+    for (const char* spec : specs) {
+        SCOPED_TRACE(spec);
+        auto reference = makePredictor(spec);
+        std::vector<Prediction> expected;
+        expected.reserve(n);
+        for (size_t k = 0; k < n; ++k) {
+            expected.push_back(reference->predict(pcs[k]));
+            reference->update(pcs[k], expected.back(), taken[k] != 0);
+        }
+        StateWriter reference_state;
+        std::string error;
+        const bool has_snapshot =
+            reference->snapshot(reference_state, error);
+
+        for (const size_t chunk : {size_t{1}, size_t{97}, size_t{512}}) {
+            SCOPED_TRACE("chunk " + std::to_string(chunk));
+            auto batched = makePredictor(spec);
+            std::vector<Prediction> got(n);
+            for (size_t at = 0; at < n; at += chunk) {
+                const size_t len = std::min(chunk, n - at);
+                batched->predictMany(
+                    std::span<const uint64_t>(pcs.data() + at, len),
+                    std::span<const uint8_t>(taken.data() + at, len),
+                    std::span<Prediction>(got.data() + at, len));
+            }
+            for (size_t k = 0; k < n; ++k) {
+                if (got[k].taken != expected[k].taken ||
+                    got[k].cls != expected[k].cls ||
+                    got[k].confidence != expected[k].confidence) {
+                    ADD_FAILURE() << "first divergence at element " << k;
+                    break;
+                }
+            }
+            EXPECT_EQ(batched->allocations(), reference->allocations());
+            EXPECT_EQ(batched->satLog2Prob(), reference->satLog2Prob());
+            if (has_snapshot) {
+                StateWriter state;
+                ASSERT_TRUE(batched->snapshot(state, error)) << error;
+                EXPECT_EQ(state.data(), reference_state.data());
+            }
+        }
+    }
 }
 
 } // namespace

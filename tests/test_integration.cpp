@@ -10,33 +10,61 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
+#include "tage/graded_tage.hpp"
 
 namespace tagecon {
 namespace {
 
 constexpr uint64_t kBranches = 150000;
 
+/** Simulate one named trace on a fresh hand-built GradedTage. */
+RunResult
+runTage(const std::string& trace, TageConfig cfg, uint64_t branches,
+        GradedTageOptions opt = {})
+{
+    SyntheticTrace t = makeTrace(trace, branches);
+    GradedTage predictor(std::move(cfg), opt);
+    return runTrace(t, predictor);
+}
+
+/** Pooled statistics and mean per-trace MPKI over a benchmark set. */
+struct SetRun {
+    ClassStats aggregate;
+    double meanMpki = 0.0;
+};
+
+/** Simulate every CBP-1 trace, each on a fresh GradedTage. */
+SetRun
+runCbp1(const TageConfig& cfg, uint64_t branches,
+        GradedTageOptions opt = {})
+{
+    SetRun r;
+    const auto& names = traceNames(BenchmarkSet::Cbp1);
+    double mpki_sum = 0.0;
+    for (const auto& name : names) {
+        const RunResult rr = runTage(name, cfg, branches, opt);
+        r.aggregate.merge(rr.stats);
+        mpki_sum += rr.stats.mpki();
+    }
+    r.meanMpki = mpki_sum / static_cast<double>(names.size());
+    return r;
+}
+
 /** A moderately hard trace where all classes are populated. */
 const RunResult&
 baselineGzip64K()
 {
-    static const RunResult r = [] {
-        RunConfig rc;
-        rc.predictor = TageConfig::medium64K();
-        return runNamedTrace("164.gzip", rc, kBranches);
-    }();
+    static const RunResult r =
+        runTage("164.gzip", TageConfig::medium64K(), kBranches);
     return r;
 }
 
 const RunResult&
 modifiedGzip64K()
 {
-    static const RunResult r = [] {
-        RunConfig rc;
-        rc.predictor =
-            TageConfig::medium64K().withProbabilisticSaturation(7);
-        return runNamedTrace("164.gzip", rc, kBranches);
-    }();
+    static const RunResult r = runTage(
+        "164.gzip", TageConfig::medium64K().withProbabilisticSaturation(7),
+        kBranches);
     return r;
 }
 
@@ -132,10 +160,8 @@ TEST(Integration, ThreeLevelSplitMatchesPaperShape)
     //  - medium and low together cover the vast majority of
     //    mispredictions;
     //  - MPrate(low) > 150 MKP.
-    RunConfig rc;
-    rc.predictor =
-        TageConfig::medium64K().withProbabilisticSaturation(7);
-    const SetResult r = runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
+    const SetRun r = runCbp1(
+        TageConfig::medium64K().withProbabilisticSaturation(7), 60000);
     const ClassStats& s = r.aggregate;
 
     EXPECT_GT(s.pcov(ConfidenceLevel::High), 0.5);
@@ -154,18 +180,15 @@ TEST(Integration, AdaptiveControllerHoldsTarget)
 {
     // Table 3: the controller keeps the measured high-confidence rate
     // near the 10 MKP target while maximizing coverage.
-    RunConfig fixed;
-    fixed.predictor =
+    const TageConfig cfg =
         TageConfig::small16K().withProbabilisticSaturation(7);
-    const SetResult r_fixed =
-        runBenchmarkSet(BenchmarkSet::Cbp1, fixed, 60000);
+    const SetRun r_fixed = runCbp1(cfg, 60000);
 
-    RunConfig adaptive = fixed;
+    GradedTageOptions adaptive;
     adaptive.adaptive = true;
     adaptive.adaptiveConfig.targetMkp = 10.0;
     adaptive.adaptiveConfig.epochLength = 16384;
-    const SetResult r_adapt =
-        runBenchmarkSet(BenchmarkSet::Cbp1, adaptive, 60000);
+    const SetRun r_adapt = runCbp1(cfg, 60000, adaptive);
 
     // Held near the target (50% slack for measurement noise).
     EXPECT_LT(r_adapt.aggregate.mprateMkp(ConfidenceLevel::High), 15.0);
@@ -177,13 +200,10 @@ TEST(Integration, AdaptiveControllerHoldsTarget)
 TEST(Integration, LargerPredictorsAreMoreAccurate)
 {
     // Table 1 shape.
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
     const double small =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000).meanMpki;
-    rc.predictor = TageConfig::large256K();
+        runCbp1(TageConfig::small16K(), 60000).meanMpki;
     const double large =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000).meanMpki;
+        runCbp1(TageConfig::large256K(), 60000).meanMpki;
     EXPECT_LT(large, small);
 }
 
@@ -192,13 +212,8 @@ TEST(Integration, BimClassesVanishOnLargePredictor)
     // Sec. 5.1: "the medium confidence and low confidence predictions
     // provided by the bimodal component nearly vanish on the large
     // predictor" — compare 16K vs 256K coverage.
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const SetResult small =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
-    rc.predictor = TageConfig::large256K();
-    const SetResult large =
-        runBenchmarkSet(BenchmarkSet::Cbp1, rc, 60000);
+    const SetRun small = runCbp1(TageConfig::small16K(), 60000);
+    const SetRun large = runCbp1(TageConfig::large256K(), 60000);
 
     const double small_mlb =
         small.aggregate.pcov(PredictionClass::MediumConfBim) +

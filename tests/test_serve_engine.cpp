@@ -210,23 +210,65 @@ TEST(ServingEngine, CheckpointResumeMatchesUninterruptedServe)
 
 TEST(ServingEngine, ScalarAndBatchedServesAreBitIdentical)
 {
-    // The default path routes every scheduling turn through
-    // predictMany(); forceScalar keeps the plain predict/update loop.
-    // The two must agree on every per-stream statistic and state
-    // digest (the CI serving-CSV diff gate rests on this).
+    // Every scheduling turn runs through predictMany(). A bounded-pool
+    // serve whose turns end mid-chunk must equal, stream by stream, a
+    // plain predict/update loop over the same trace — statistics and
+    // the digest of the final checkpoint blob alike.
     const auto streams =
         StreamSet::roundRobin(10, twoCbp1Traces(), 1500, 0);
 
-    ServeOptions batched;
-    batched.spec = "tage16k+sfc";
-    batched.jobs = 2;
-    batched.batch = 200; // turns end mid-chunk: exercises short fills
-    batched.computeDigests = true;
-    const ServeResult via_batches = serveOrDie(batched, streams);
+    ServeOptions opts;
+    opts.spec = "tage16k+sfc";
+    opts.jobs = 2;
+    opts.poolPerShard = 2;
+    opts.batch = 97;
+    opts.computeDigests = true;
+    const ServeResult served = serveOrDie(opts, streams);
+    ASSERT_EQ(served.perStream.size(), streams.size());
 
-    ServeOptions scalar = batched;
-    scalar.forceScalar = true;
-    expectSameServe(via_batches, serveOrDie(scalar, streams));
+    const std::string spec = canonicalizeSpec(opts.spec);
+    for (size_t i = 0; i < streams.size(); ++i) {
+        const StreamDesc& d = streams[i];
+        SCOPED_TRACE("stream " + std::to_string(d.id));
+        auto opened = openTraceSource(d.trace, d.branches, d.seedSalt);
+        ASSERT_TRUE(opened.ok()) << opened.error().message();
+        auto trace = opened.take();
+        auto predictor = makePredictor(spec);
+        ClassStats stats;
+        BinaryConfidenceMetrics confusion;
+        uint64_t consumed = 0;
+        BranchRecord rec;
+        while (trace->next(rec)) {
+            const Prediction p = predictor->predict(rec.pc);
+            const bool mispredicted = p.taken != rec.taken;
+            stats.record(p.cls, mispredicted,
+                         uint64_t{rec.instructionsBefore} + 1);
+            confusion.record(p.confidence == ConfidenceLevel::High,
+                             !mispredicted);
+            predictor->update(rec.pc, p, rec.taken);
+            ++consumed;
+        }
+        std::vector<uint8_t> blob;
+        ASSERT_TRUE(encodeStreamCheckpoint(*predictor, spec, d.id,
+                                           d.trace, consumed, blob)
+                        .ok());
+
+        const StreamResult& s = served.perStream[i];
+        EXPECT_EQ(s.status, StreamStatus::Ok);
+        EXPECT_EQ(s.branchesServed, consumed);
+        EXPECT_EQ(s.stateDigest, checkpointDigest(blob));
+        EXPECT_EQ(s.checkpointBytes, blob.size());
+        EXPECT_EQ(s.allocations, predictor->allocations());
+        for (const auto c : kAllPredictionClasses) {
+            EXPECT_EQ(s.stats.predictions(c), stats.predictions(c));
+            EXPECT_EQ(s.stats.mispredictions(c), stats.mispredictions(c));
+        }
+        EXPECT_EQ(s.stats.instructions(), stats.instructions());
+        EXPECT_EQ(s.confusion.highCorrect(), confusion.highCorrect());
+        EXPECT_EQ(s.confusion.highWrong(), confusion.highWrong());
+        EXPECT_EQ(s.confusion.lowCorrect(), confusion.lowCorrect());
+        EXPECT_EQ(s.confusion.lowWrong(), confusion.lowWrong());
+    }
 }
 
 TEST(ServingEngine, RejectsBatchOfZero)

@@ -6,22 +6,25 @@
 #include <gtest/gtest.h>
 
 #include "sim/reporting.hpp"
+#include "sim/sweep.hpp"
+#include "tage/graded_tage.hpp"
 
 namespace tagecon {
 namespace {
 
-SetResult
-tinySetResult()
+SweepRow
+tinyCbp1Row()
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    return runBenchmarkSet(BenchmarkSet::Cbp1, rc, 2000);
+    return runSweepRows(SweepPlan::over({"tage16k+sfc"},
+                                        traceNames(BenchmarkSet::Cbp1),
+                                        2000))
+        .front();
 }
 
 TEST(Reporting, CoverageTableHasAllTracesPlusAggregate)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = coverageTable(r);
+    const SweepRow r = tinyCbp1Row();
+    const TextTable t = coverageTable(r.perTrace, r.aggregate);
     EXPECT_EQ(t.rows(), 21u); // 20 traces + (all)
     const std::string s = t.toString();
     EXPECT_NE(s.find("FP-1"), std::string::npos);
@@ -33,16 +36,16 @@ TEST(Reporting, CoverageTableHasAllTracesPlusAggregate)
 
 TEST(Reporting, MpkiBreakdownIncludesTotalColumn)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = mpkiBreakdownTable(r);
+    const SweepRow r = tinyCbp1Row();
+    const TextTable t = mpkiBreakdownTable(r.perTrace, r.aggregate);
     EXPECT_EQ(t.rows(), 21u);
     EXPECT_NE(t.toString().find("total-MPKI"), std::string::npos);
 }
 
 TEST(Reporting, MprateTableSelectsTraces)
 {
-    const SetResult r = tinySetResult();
-    const TextTable t = mprateTable(r, {"FP-1", "MM-3"});
+    const SweepRow r = tinyCbp1Row();
+    const TextTable t = mprateTable(r.perTrace, {"FP-1", "MM-3"});
     EXPECT_EQ(t.rows(), 2u);
     const std::string s = t.toString();
     EXPECT_NE(s.find("FP-1"), std::string::npos);
@@ -52,8 +55,9 @@ TEST(Reporting, MprateTableSelectsTraces)
 
 TEST(Reporting, MprateTableUnknownTraceIsFatal)
 {
-    const SetResult r = tinySetResult();
-    EXPECT_EXIT(mprateTable(r, {"nope"}), ::testing::ExitedWithCode(1),
+    const SweepRow r = tinyCbp1Row();
+    EXPECT_EXIT(mprateTable(r.perTrace, {"nope"}),
+                ::testing::ExitedWithCode(1),
                 "not in result set");
 }
 
@@ -78,9 +82,9 @@ TEST(Reporting, ThreeClassRowFormat)
 
 TEST(Reporting, SummarizeMentionsTraceAndConfig)
 {
-    RunConfig rc;
-    rc.predictor = TageConfig::small16K();
-    const RunResult r = runNamedTrace("FP-2", rc, 3000);
+    SyntheticTrace trace = makeTrace("FP-2", 3000);
+    GradedTage predictor(TageConfig::small16K());
+    const RunResult r = runTrace(trace, predictor);
     const std::string s = summarize(r);
     EXPECT_NE(s.find("FP-2"), std::string::npos);
     EXPECT_NE(s.find("16K"), std::string::npos);

@@ -2,13 +2,15 @@
  * @file
  * Tests for the sweep subsystem (sim/sweep.hpp): plan validation and
  * cell enumeration, bit-identical results across thread counts, seed
- * salting, and row pooling equivalence with the serial runSets path.
+ * salting, row pooling equivalence with a serial runTrace fold, and
+ * the failure of a sweep over a trace that breaks mid-stream.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <thread>
 
@@ -265,32 +267,46 @@ TEST(SweepRunner, SeedSaltChangesTheGeneratedStreams)
               unsalted[0].stats.totalMispredictions());
 }
 
-TEST(SweepRunner, RowPoolingMatchesSerialRunSets)
+TEST(SweepRunner, RowPoolingMatchesSerialRunTraceFold)
 {
     const std::string spec = "tage16k+prob7+sfc";
     const uint64_t branches = 10000;
 
-    SweepPlan plan =
-        SweepPlan::over({spec}, allTraceNames(), branches);
+    const std::vector<std::string> names = allTraceNames();
+    SweepPlan plan = SweepPlan::over({spec}, names, branches);
     const auto rows = runSweepRows(plan, SweepOptions{4});
     ASSERT_EQ(rows.size(), 1u);
 
-    const RunResult pooled = runSets(
-        {BenchmarkSet::Cbp1, BenchmarkSet::Cbp2}, spec, branches);
+    // Reference: a fresh predictor per trace, run serially in
+    // canonical order and pooled by hand.
+    ClassStats pooled;
+    BinaryConfidenceMetrics confusion;
+    double mpki_sum = 0.0;
+    uint64_t storage_bits = 0;
+    for (const auto& name : names) {
+        SyntheticTrace trace = makeTrace(name, branches);
+        auto predictor = makePredictor(spec);
+        const RunResult rr = runTrace(trace, *predictor);
+        pooled.merge(rr.stats);
+        confusion.merge(rr.confusion);
+        mpki_sum += rr.stats.mpki();
+        storage_bits = rr.storageBits;
+    }
 
-    EXPECT_EQ(rows[0].spec, pooled.configName);
+    EXPECT_EQ(rows[0].spec, canonicalizeSpec(spec));
     EXPECT_EQ(rows[0].aggregate.totalPredictions(),
-              pooled.stats.totalPredictions());
+              pooled.totalPredictions());
     EXPECT_EQ(rows[0].aggregate.totalMispredictions(),
-              pooled.stats.totalMispredictions());
-    EXPECT_EQ(rows[0].aggregate.instructions(),
-              pooled.stats.instructions());
-    EXPECT_EQ(rows[0].confusion.highCorrect(),
-              pooled.confusion.highCorrect());
-    EXPECT_EQ(rows[0].confusion.lowWrong(),
-              pooled.confusion.lowWrong());
-    EXPECT_EQ(rows[0].storageBits, pooled.storageBits);
-    EXPECT_EQ(rows[0].perTrace.size(), allTraceNames().size());
+              pooled.totalMispredictions());
+    EXPECT_EQ(rows[0].aggregate.instructions(), pooled.instructions());
+    EXPECT_EQ(rows[0].confusion.highCorrect(), confusion.highCorrect());
+    EXPECT_EQ(rows[0].confusion.lowWrong(), confusion.lowWrong());
+    EXPECT_EQ(rows[0].meanMpki,
+              mpki_sum / static_cast<double>(names.size()));
+    EXPECT_EQ(rows[0].storageBits, storage_bits);
+    ASSERT_EQ(rows[0].perTrace.size(), names.size());
+    for (size_t i = 0; i < names.size(); ++i)
+        EXPECT_EQ(rows[0].perTrace[i].traceName, names[i]);
 }
 
 TEST(SweepRunner, JobsZeroMeansHardwareConcurrency)
@@ -373,6 +389,60 @@ TEST_F(SweepFileTraceTest, MixedFileAndSyntheticGridsStayDeterministic)
     // no salt, so file and synthetic columns agree cell for cell.
     EXPECT_EQ(serial[0].traceName, serial[1].traceName);
     expectIdentical(serial[0], serial[1]);
+}
+
+/**
+ * Write the first @p lines records of a synthetic trace as a CBP ASCII
+ * file, replacing data line @p bad_line (1-based; 0 = none) with a
+ * malformed record.
+ */
+std::string
+writeAsciiTrace(const std::string& tag, uint64_t lines, uint64_t bad_line)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("tagecon_sweep_ascii_" + tag + "_" +
+          std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
+          ".txt"))
+            .string();
+    std::ofstream out(path);
+    SyntheticTrace src = makeTrace("INT-1", lines);
+    BranchRecord rec;
+    for (uint64_t line = 1; src.next(rec); ++line) {
+        if (line == bad_line)
+            out << "0xZZZ maybe\n";
+        else
+            out << "0x" << std::hex << rec.pc << std::dec << ' '
+                << (rec.taken ? 1 : 0) << ' ' << rec.instructionsBefore
+                << '\n';
+    }
+    return path;
+}
+
+TEST(SweepFileTraces, MalformedLineMidTraceFailsTheSweep)
+{
+    // The file probes clean (its first data line parses), so the
+    // failure only surfaces when the replay reaches line 1501; the
+    // sweep must fail there instead of reporting the 1500-record
+    // prefix as a clean result.
+    const std::string bad = writeAsciiTrace("bad", 3000, 1501);
+    const std::string prefix = writeAsciiTrace("prefix", 1500, 0);
+
+    SweepPlan bad_plan =
+        SweepPlan::over({"tage16k+sfc"}, {"file:" + bad}, 100000);
+    EXPECT_EXIT((void)runSweep(bad_plan, SweepOptions{2}),
+                ::testing::ExitedWithCode(1),
+                "tage16k\\+sfc x file:.*line 1501 is not an ASCII "
+                "trace record");
+
+    const auto clean = runSweep(
+        SweepPlan::over({"tage16k+sfc"}, {"file:" + prefix}, 100000));
+    ASSERT_EQ(clean.size(), 1u);
+    EXPECT_EQ(clean[0].stats.totalPredictions(), 1500u);
+    EXPECT_TRUE(clean[0].traceError.ok());
+
+    std::filesystem::remove(bad);
+    std::filesystem::remove(prefix);
 }
 
 TEST(SweepPlanFileTraces, ValidateRejectsMissingAndCorruptFiles)

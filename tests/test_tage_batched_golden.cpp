@@ -1,12 +1,11 @@
 /**
  * @file
- * Golden bit-identity tests for the batched TAGE entry points. The
- * fused predictMany() step and the updateMany() replay-training path
- * must reproduce, to the bit, the behaviour the scalar golden hashes
- * in test_tage_golden.cpp were harvested from — for every pinned
- * paper configuration and at several batch sizes, including sizes
- * that do not divide the stream length (non-trivial tail batches) and
- * the degenerate batch of one.
+ * Golden bit-identity tests for the batched TAGE entry point. The
+ * fused predictMany() step must reproduce, to the bit, the behaviour
+ * the scalar golden hashes in test_tage_golden.cpp were harvested
+ * from — for every pinned paper configuration and at several batch
+ * sizes, including sizes that do not divide the stream length
+ * (non-trivial tail batches) and the degenerate batch of one.
  *
  * The digests pinned here are the very same values test_tage_golden
  * pins for the scalar loop — not re-harvested for the batched path —
@@ -135,36 +134,6 @@ runGoldenBatched(const TageConfig& cfg, size_t batch)
     return {pd, stateDigest(pred)};
 }
 
-/**
- * Replay-train a fresh predictor through updateMany() with the
- * (pc, prediction, outcome) tuples recorded from a scalar run, in
- * batches of @p batch, and return its final state digest. The scalar
- * run applied exactly the same update() sequence, so the digests must
- * coincide.
- */
-uint64_t
-runGoldenReplayTrained(const TageConfig& cfg, size_t batch)
-{
-    TagePredictor scalar(cfg);
-    const GoldenStream s = goldenStream(cfg);
-    std::vector<TagePrediction> preds;
-    preds.reserve(s.pcs.size());
-    for (size_t i = 0; i < s.pcs.size(); ++i) {
-        preds.push_back(scalar.predict(s.pcs[i]));
-        scalar.update(s.pcs[i], preds.back(), s.taken[i] != 0);
-    }
-
-    TagePredictor replayed(cfg);
-    for (size_t at = 0; at < s.pcs.size(); at += batch) {
-        const size_t n = std::min(batch, s.pcs.size() - at);
-        replayed.updateMany(
-            std::span<const uint64_t>(s.pcs.data() + at, n),
-            std::span<const TagePrediction>(preds.data() + at, n),
-            std::span<const uint8_t>(s.taken.data() + at, n));
-    }
-    return stateDigest(replayed);
-}
-
 struct GoldenCase {
     const char* name;
     uint64_t predDigest;
@@ -206,17 +175,6 @@ TEST_P(TageBatchedGolden, PredictManyMatchesScalarGoldenDigests)
             runGoldenBatched(cfg, batch);
         EXPECT_EQ(pred_digest, g.predDigest) << g.name;
         EXPECT_EQ(state_digest, g.stateDigest) << g.name;
-    }
-}
-
-TEST_P(TageBatchedGolden, UpdateManyReplayMatchesScalarStateDigest)
-{
-    const GoldenCase& g = GetParam();
-    const TageConfig cfg = configFor(g.name);
-    for (const size_t batch : {size_t{7}, size_t{512}}) {
-        SCOPED_TRACE("batch=" + std::to_string(batch));
-        EXPECT_EQ(runGoldenReplayTrained(cfg, batch), g.stateDigest)
-            << g.name;
     }
 }
 
