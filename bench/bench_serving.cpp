@@ -22,7 +22,7 @@
 
 #include "serve/serving_engine.hpp"
 #include "sim/report.hpp"
-#include "sim/sweep.hpp"
+#include "sim/trace_registry.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/table_printer.hpp"
@@ -61,8 +61,8 @@ main(int argc, char** argv)
     }
 
     std::vector<std::string> traces;
-    if (!SweepPlan::resolveTraceArgs(args.getList("traces", {"cbp1"}),
-                                     traces, error))
+    if (!resolveTraceSpecs(args.getList("traces", {"cbp1"}), traces,
+                           error))
         fatal(error);
 
     const auto streams =

@@ -66,7 +66,7 @@
 #include "serve/serving_engine.hpp"
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
-#include "sim/sweep.hpp"
+#include "sim/trace_registry.hpp"
 #include "util/cli.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -140,8 +140,8 @@ main(int argc, char** argv)
         fatal(error);
 
     std::vector<std::string> traces;
-    if (!SweepPlan::resolveTraceArgs(args.getList("traces", {"cbp1"}),
-                                     traces, error))
+    if (!resolveTraceSpecs(args.getList("traces", {"cbp1"}), traces,
+                           error))
         fatal(error);
 
     if (!opts.checkpointDir.empty()) {

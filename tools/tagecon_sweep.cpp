@@ -7,8 +7,21 @@
  *   tagecon_sweep --predictors=tage64k+prob7+sfc,gshare:hist=17+jrs \
  *                 --traces=cbp1 --branches=1000000 --jobs=8
  *
+ * or one of the paper's experiments, by name (bench/paper_plans.hpp):
+ *
+ *   tagecon_sweep --plan=figure4 --branches=1000000 --jobs=8
+ *
  * Flags:
- *   --predictors=a,b,c   registry specs, one row each (required;
+ *   --plan=NAME          run the named paper experiment: figure2..
+ *                        figure6, table1..table3, section5, warmup,
+ *                        bim_burst, vs_jrs, vs_selfconf, prob_sweep,
+ *                        ablation_ctrwidth, ablation_looppred,
+ *                        ablation_usealt. Takes the run parameters
+ *                        below; --traces, --baseline and --per-trace
+ *                        define an ad-hoc grid and are rejected
+ *   --predictors=a,b,c   registry specs, one row each (required
+ *                        without --plan; with it, replaces the
+ *                        lineup of bim_burst / vs_jrs / vs_selfconf;
  *                        see --list-predictors)
  *   --traces=...         trace specs — synthetic profile names,
  *                        file:PATH trace files (.tcbt binary or
@@ -29,7 +42,7 @@
  *                        "perbranch:top=8", "warmup:len=10000,mkp=20");
  *                        per-cell tables follow the main table
  *   --report=FMT         text (default), csv, or json — one shared
- *                        schema with the bench reports
+ *                        schema with the plan reports
  *   --progress           per-cell progress lines on stderr as the
  *                        grid runs (thread-safe; stdout unchanged)
  *   --per-trace          one output row per (spec, trace) cell
@@ -51,9 +64,11 @@
 #include "obs/metrics.hpp"
 #include "obs/metrics_export.hpp"
 #include "obs/span_trace.hpp"
+#include "paper_plans.hpp"
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
 #include "sim/sweep.hpp"
+#include "sim/trace_registry.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
 #include "util/table_printer.hpp"
@@ -127,40 +142,15 @@ metricCells(const ClassStats& stats,
     return cells;
 }
 
-} // namespace
-
-int
-main(int argc, char** argv)
+/**
+ * Run the ad-hoc grid the flags describe: @p params.predictors x
+ * --traces, with the --baseline delta view and --per-trace cells.
+ */
+Report
+gridReport(const CliArgs& args, const PlanParams& params,
+           const SweepOptions& sweep_opt, ReportFormat format)
 {
-    const CliArgs args(argc, argv);
-    if (args.has("list-predictors")) {
-        listPredictors();
-        return 0;
-    }
-    if (args.has("list-observers")) {
-        listObservers();
-        return 0;
-    }
-
-    const std::vector<std::string> known_flags = {
-        "predictors", "traces",   "branches",        "seed",
-        "jobs",       "baseline", "analysis",        "report",
-        "progress",   "per-trace", "csv",            "list-predictors",
-        "list-observers", "metrics", "metrics-out",   "trace-out"};
-    for (const auto& flag : args.flagNames()) {
-        if (std::find(known_flags.begin(), known_flags.end(), flag) ==
-            known_flags.end())
-            fatal("unknown flag --" + flag +
-                  " (known: --predictors --traces --branches --seed "
-                  "--jobs --baseline --analysis --report --progress "
-                  "--per-trace --csv --list-predictors "
-                  "--list-observers --metrics --metrics-out "
-                  "--trace-out)");
-    }
-
-    // Rejoin parameterized specs the comma-split cut apart, so
-    // canonical names print back into --predictors verbatim.
-    auto specs = regroupSpecList(args.getList("predictors"));
+    auto specs = params.predictors;
     if (specs.empty())
         fatal("--predictors=spec1,spec2,... is required "
               "(see --list-predictors)");
@@ -189,57 +179,16 @@ main(int argc, char** argv)
     SweepPlan plan;
     plan.specs = specs;
     std::string error;
-    if (!SweepPlan::resolveTraceArgs(args.getList("traces", {"all"}),
-                                     plan.traces, error))
+    if (!resolveTraceSpecs(args.getList("traces", {"all"}), plan.traces,
+                           error))
         fatal(error);
-    plan.branchesPerTrace = args.getUint("branches", 1000000);
-    plan.seedSalt = args.getUint("seed", 0);
-    if (!parseAnalysisSpecs(regroupSpecList(args.getList("analysis")),
-                            plan.analysis, error))
-        fatal(error);
+    plan.branchesPerTrace = params.branchesPerTrace;
+    plan.seedSalt = params.seedSalt;
+    plan.analysis = params.analysis;
     if (!plan.validate(&error))
         fatal(error);
 
-    SweepOptions sweep_opt;
-    // Range-checked before narrowing: --jobs=0 (which SweepOptions
-    // would reinterpret as "hardware concurrency") and 2^32-wrapping
-    // values are rejected up front with the flag named.
-    sweep_opt.jobs =
-        static_cast<unsigned>(args.getUintInRange("jobs", 1, 1, 1024));
-    // Cell-level result cache: duplicate (spec, trace) cells — e.g. a
-    // spec listed twice, or overlapping trace selections — simulate
-    // once and are served from memory after that.
-    SweepResultCache cache;
-    SweepExecStats exec_stats;
-    sweep_opt.cache = &cache;
-    sweep_opt.stats = &exec_stats;
-    if (args.getBool("progress", false)) {
-        // Progress goes to stderr so CI stdout diffs stay byte-stable;
-        // logLine() serializes against warn() from parallel workers,
-        // keeping every line atomic.
-        sweep_opt.onProgress = [](const SweepProgress& p) {
-            logLine("progress: " + std::to_string(p.completed) + "/" +
-                    std::to_string(p.total) + "  " + p.cell->spec +
-                    " x " + p.cell->trace);
-        };
-    }
     const bool per_trace = args.getBool("per-trace", false);
-    const std::string metrics_out = args.getString("metrics-out", "");
-    const std::string trace_out = args.getString("trace-out", "");
-    const bool metrics_on =
-        args.getBool("metrics", false) || !metrics_out.empty();
-    if (metrics_on)
-        obs::setMetricsEnabled(true);
-    if (!trace_out.empty())
-        obs::startTracing();
-
-    ReportFormat format = ReportFormat::Text;
-    if (args.getBool("csv", false))
-        format = ReportFormat::Csv;
-    if (args.has("report") &&
-        !parseReportFormat(args.getString("report", "text"), format,
-                           error))
-        fatal(error);
 
     Report report("sweep",
                   "tagecon_sweep: " +
@@ -266,7 +215,6 @@ main(int argc, char** argv)
     std::vector<std::pair<std::string, const RunResult*>> analysis_cells;
     std::vector<RunResult> cells;
     std::vector<SweepRow> rows;
-
     if (per_trace) {
         cells = runSweep(plan, sweep_opt);
         const size_t per_row = plan.traces.size();
@@ -326,10 +274,10 @@ main(int argc, char** argv)
 
     // Bookkeeping only when dedup actually saved work, so the common
     // banner stays byte-identical to earlier releases.
-    if (exec_stats.cacheHits > 0)
+    if (sweep_opt.stats->cacheHits > 0)
         report.addMeta("cache-hits",
-                       std::to_string(exec_stats.cacheHits) + "/" +
-                           std::to_string(exec_stats.cells));
+                       std::to_string(sweep_opt.stats->cacheHits) + "/" +
+                           std::to_string(sweep_opt.stats->cells));
 
     report.addTable(ReportTable{"grid", "", std::move(t)});
 
@@ -361,6 +309,112 @@ main(int argc, char** argv)
         addAnalysisSections(report, *rr,
                             "cell" + std::to_string(cell_idx), label);
         ++cell_idx;
+    }
+    return report;
+}
+
+} // namespace
+
+int
+main(int argc, char** argv)
+{
+    const CliArgs args(argc, argv);
+    if (args.has("list-predictors")) {
+        listPredictors();
+        return 0;
+    }
+    if (args.has("list-observers")) {
+        listObservers();
+        return 0;
+    }
+
+    const std::vector<std::string> known_flags = {
+        "plan",     "predictors", "traces",   "branches",
+        "seed",     "jobs",       "baseline", "analysis",
+        "report",   "progress",   "per-trace", "csv",
+        "list-predictors", "list-observers", "metrics", "metrics-out",
+        "trace-out"};
+    for (const auto& flag : args.flagNames()) {
+        if (std::find(known_flags.begin(), known_flags.end(), flag) ==
+            known_flags.end())
+            fatal("unknown flag --" + flag +
+                  " (known: --plan --predictors --traces --branches "
+                  "--seed --jobs --baseline --analysis --report "
+                  "--progress --per-trace --csv --list-predictors "
+                  "--list-observers --metrics --metrics-out "
+                  "--trace-out)");
+    }
+    const bool plan_mode = args.has("plan");
+    if (plan_mode) {
+        for (const char* flag : {"traces", "baseline", "per-trace"}) {
+            if (args.has(flag))
+                fatal(std::string("--") + flag +
+                      " defines an ad-hoc grid and cannot be combined "
+                      "with --plan");
+        }
+    }
+
+    // The run parameters the grid and every plan share. Rejoin
+    // parameterized specs the comma-split cut apart, so canonical
+    // names print back into --predictors verbatim.
+    PlanParams params;
+    params.predictors = regroupSpecList(args.getList("predictors"));
+    params.branchesPerTrace = args.getUint("branches", 1000000);
+    params.seedSalt = args.getUint("seed", 0);
+    std::string error;
+    if (!parseAnalysisSpecs(regroupSpecList(args.getList("analysis")),
+                            params.analysis, error))
+        fatal(error);
+
+    SweepOptions sweep_opt;
+    // Range-checked before narrowing: --jobs=0 (which SweepOptions
+    // would reinterpret as "hardware concurrency") and 2^32-wrapping
+    // values are rejected up front with the flag named.
+    sweep_opt.jobs =
+        static_cast<unsigned>(args.getUintInRange("jobs", 1, 1, 1024));
+    // Cell-level result cache: duplicate (spec, trace) cells — e.g. a
+    // spec listed twice, or overlapping trace selections — simulate
+    // once and are served from memory after that.
+    SweepResultCache cache;
+    SweepExecStats exec_stats;
+    sweep_opt.cache = &cache;
+    sweep_opt.stats = &exec_stats;
+    if (args.getBool("progress", false)) {
+        // Progress goes to stderr so CI stdout diffs stay byte-stable;
+        // logLine() serializes against warn() from parallel workers,
+        // keeping every line atomic.
+        sweep_opt.onProgress = [](const SweepProgress& p) {
+            logLine("progress: " + std::to_string(p.completed) + "/" +
+                    std::to_string(p.total) + "  " + p.cell->spec +
+                    " x " + p.cell->trace);
+        };
+    }
+    const std::string metrics_out = args.getString("metrics-out", "");
+    const std::string trace_out = args.getString("trace-out", "");
+    const bool metrics_on =
+        args.getBool("metrics", false) || !metrics_out.empty();
+    if (metrics_on)
+        obs::setMetricsEnabled(true);
+    if (!trace_out.empty())
+        obs::startTracing();
+
+    ReportFormat format = ReportFormat::Text;
+    if (args.getBool("csv", false))
+        format = ReportFormat::Csv;
+    if (args.has("report") &&
+        !parseReportFormat(args.getString("report", "text"), format,
+                           error))
+        fatal(error);
+
+    Report report;
+    if (plan_mode) {
+        auto ran = runPaperPlan(args.getString("plan", ""), params,
+                                sweep_opt);
+        if (!ran.ok())
+            fatal("--plan: " + ran.error().detail);
+        report = ran.take();
+    } else {
+        report = gridReport(args, params, sweep_opt, format);
     }
 
     if (!trace_out.empty())
