@@ -26,14 +26,6 @@ SweepPlan::over(std::vector<std::string> specs,
 }
 
 bool
-SweepPlan::resolveTraceArgs(const std::vector<std::string>& args,
-                            std::vector<std::string>& out,
-                            std::string& error)
-{
-    return resolveTraceSpecs(args, out, error);
-}
-
-bool
 SweepPlan::validate(std::string* error)
 {
     if (validated)

@@ -89,18 +89,6 @@ struct SweepPlan {
                           uint64_t seed_salt = 0);
 
     /**
-     * Expand user trace arguments into trace specs: each item is a
-     * trace spec (profile name or "file:PATH"), or a set alias —
-     * "cbp1" / "cbp2" / "all" / registerTraceSet() names
-     * (case-insensitive). Thin shim over resolveTraceSpecs()
-     * (sim/trace_registry.hpp). Returns false on an unknown item with
-     * the reason in @p error.
-     */
-    static bool resolveTraceArgs(const std::vector<std::string>& args,
-                                 std::vector<std::string>& out,
-                                 std::string& error);
-
-    /**
      * Check the plan and canonicalize its specs in place: every spec
      * must be constructible, every trace name known, and the grid
      * non-empty. Returns false with the reason in @p error.

@@ -113,12 +113,17 @@ validateTraceSpec(const TraceSpec& spec, std::string* error)
             *error = err;
         return false;
     }
-    const bool ok = format == TraceFileFormat::Tcbt
-                        ? probeTraceFile(spec.key, nullptr, &err)
-                        : probeCbpAsciiFile(spec.key, &err);
-    if (!ok && error)
+    if (format == TraceFileFormat::Tcbt) {
+        const auto probed = probeTrace(spec.key);
+        if (probed.ok())
+            return true;
+        err = probed.error().detail;
+    } else if (probeCbpAsciiFile(spec.key, &err)) {
+        return true;
+    }
+    if (error)
         *error = err;
-    return ok;
+    return false;
 }
 
 void
@@ -263,37 +268,13 @@ openTraceSource(const std::string& spec, uint64_t branches,
 }
 
 std::unique_ptr<TraceSource>
-tryMakeTraceSource(const TraceSpec& spec, uint64_t branches,
-                   uint64_t seed_salt, std::string* error)
-{
-    auto opened = openTraceSource(spec, branches, seed_salt);
-    if (!opened.ok()) {
-        if (error)
-            *error = opened.error().detail;
-        return nullptr;
-    }
-    return opened.take();
-}
-
-std::unique_ptr<TraceSource>
-tryMakeTraceSource(const std::string& spec, uint64_t branches,
-                   uint64_t seed_salt, std::string* error)
-{
-    TraceSpec parsed;
-    if (!parseTraceSpec(spec, parsed, error))
-        return nullptr;
-    return tryMakeTraceSource(parsed, branches, seed_salt, error);
-}
-
-std::unique_ptr<TraceSource>
 makeTraceSource(const std::string& spec, uint64_t branches,
                 uint64_t seed_salt)
 {
-    std::string error;
-    auto src = tryMakeTraceSource(spec, branches, seed_salt, &error);
-    if (!src)
-        fatal("makeTraceSource: " + error);
-    return src;
+    auto opened = openTraceSource(spec, branches, seed_salt);
+    if (!opened.ok())
+        fatal("makeTraceSource: " + opened.error().detail);
+    return opened.take();
 }
 
 } // namespace tagecon

@@ -39,6 +39,26 @@
 namespace tagecon {
 namespace {
 
+/** Success, or a failure showing the error's message. */
+::testing::AssertionResult
+succeeded(const Err& e)
+{
+    if (e.ok())
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << e.message();
+}
+
+/** A failure whose detail mentions @p needle. */
+::testing::AssertionResult
+failedWith(const Err& e, const std::string& needle)
+{
+    if (e.failed() && e.detail.find(needle) != std::string::npos)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "expected an error mentioning '" << needle << "', got '"
+           << e.message() << "'";
+}
+
 /** FNV-1a 64-bit step (same recipe as test_tage_golden.cpp). */
 uint64_t
 mix(uint64_t h, uint64_t v)
@@ -219,20 +239,18 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error))
-        << error;
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
 
     // Encoding is a pure function of predictor state.
     std::vector<uint8_t> blob_again;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob_again, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob_again)));
     EXPECT_EQ(blob, blob_again);
 
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error)) << error;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
     EXPECT_EQ(ck.kind, Checkpoint::Kind::Predictor);
     EXPECT_EQ(ck.spec, spec);
-    ASSERT_TRUE(restoreFromCheckpoint(ck, *q, spec, error)) << error;
+    ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *q, spec)));
 
     while (trace->next(rec)) {
         const Prediction pa = p->predict(rec.pc);
@@ -245,8 +263,8 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> final_p, final_q;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, final_p, error));
-    ASSERT_TRUE(encodePredictorCheckpoint(*q, spec, final_q, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, final_p)));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*q, spec, final_q)));
     EXPECT_EQ(final_p, final_q);
 }
 
@@ -277,12 +295,10 @@ TEST(CheckpointRoundTrip, StreamKindCarriesServingPosition)
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodeStreamCheckpoint(*p, spec, 42, "FP-1", 1234,
-                                       blob, error))
-        << error;
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*p, spec, 42, "FP-1", 1234, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error)) << error;
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
     EXPECT_EQ(ck.kind, Checkpoint::Kind::Stream);
     EXPECT_EQ(ck.spec, spec);
     EXPECT_EQ(ck.streamId, 42u);
@@ -309,9 +325,7 @@ someValidBlob()
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    EXPECT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error))
-        << error;
+    EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
     return blob;
 }
 
@@ -319,16 +333,12 @@ TEST(CheckpointRejection, TruncatedBlobs)
 {
     std::vector<uint8_t> blob = someValidBlob();
     Checkpoint ck;
-    std::string error;
 
     std::vector<uint8_t> tiny(blob.begin(), blob.begin() + 4);
-    EXPECT_FALSE(decodeCheckpoint(tiny, ck, error));
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(tiny, ck), "truncated"));
 
     blob.resize(blob.size() - 3);
-    error.clear();
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "truncated"));
 }
 
 TEST(CheckpointRejection, CorruptedByteFailsTheDigest)
@@ -336,10 +346,7 @@ TEST(CheckpointRejection, CorruptedByteFailsTheDigest)
     std::vector<uint8_t> blob = someValidBlob();
     blob[blob.size() / 2] ^= 0x40;
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("digest mismatch"), std::string::npos)
-        << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "digest mismatch"));
 }
 
 TEST(CheckpointRejection, WrongMagic)
@@ -348,9 +355,7 @@ TEST(CheckpointRejection, WrongMagic)
     blob[0] ^= 0xFF; // patch the magic, then re-sign the blob
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "bad magic"));
 }
 
 TEST(CheckpointRejection, UnknownVersion)
@@ -359,11 +364,7 @@ TEST(CheckpointRejection, UnknownVersion)
     blob[4] = 99; // version field follows the u32 magic
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("unsupported checkpoint version 99"),
-              std::string::npos)
-        << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "unsupported checkpoint version 99"));
 }
 
 TEST(CheckpointRejection, Version1BlobsAreRejectedOutright)
@@ -375,11 +376,7 @@ TEST(CheckpointRejection, Version1BlobsAreRejectedOutright)
     blob[4] = 1;
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("unsupported checkpoint version 1"),
-              std::string::npos)
-        << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "unsupported checkpoint version 1"));
 }
 
 TEST(CheckpointRejection, UnknownKind)
@@ -388,11 +385,7 @@ TEST(CheckpointRejection, UnknownKind)
     blob[8] = 7; // kind field follows magic + version
     refreshDigest(blob);
     Checkpoint ck;
-    std::string error;
-    EXPECT_FALSE(decodeCheckpoint(blob, ck, error));
-    EXPECT_NE(error.find("unknown checkpoint kind 7"),
-              std::string::npos)
-        << error;
+    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "unknown checkpoint kind 7"));
 }
 
 TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
@@ -403,14 +396,12 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
     auto dst = makePredictor(dst_spec);
 
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*src, src_spec, blob, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, src_spec, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error));
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
-    EXPECT_FALSE(restoreFromCheckpoint(ck, *dst, dst_spec, error));
-    EXPECT_NE(error.find("was written for spec"), std::string::npos)
-        << error;
+    EXPECT_TRUE(failedWith(restoreFromCheckpoint(ck, *dst, dst_spec),
+                           "was written for spec"));
 
     // The mismatched target must still be usable (reset, not torn).
     const Prediction p = dst->predict(0x4000);
@@ -422,16 +413,14 @@ TEST(CheckpointRejection, TrailingPayloadBytes)
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    std::string error;
-    ASSERT_TRUE(encodePredictorCheckpoint(*p, spec, blob, error));
+    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
     Checkpoint ck;
-    ASSERT_TRUE(decodeCheckpoint(blob, ck, error));
+    ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
     ck.payload.push_back(0xAB);
     auto q = makePredictor(spec);
-    EXPECT_FALSE(restoreFromCheckpoint(ck, *q, spec, error));
-    EXPECT_NE(error.find("trailing bytes"), std::string::npos)
-        << error;
+    EXPECT_TRUE(
+        failedWith(restoreFromCheckpoint(ck, *q, spec), "trailing bytes"));
 }
 
 TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
@@ -442,9 +431,9 @@ TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
     auto p = tryMakePredictor("gshare+jrs", &error);
     ASSERT_NE(p, nullptr) << error;
     std::vector<uint8_t> blob;
-    EXPECT_FALSE(encodePredictorCheckpoint(
-        *p, canonicalizeSpec("gshare+jrs"), blob, error));
-    EXPECT_NE(error.find("not supported"), std::string::npos) << error;
+    EXPECT_TRUE(failedWith(encodePredictorCheckpoint(
+                               *p, canonicalizeSpec("gshare+jrs"), blob),
+                           "not supported"));
 }
 
 TEST(CheckpointFiles, WriteReadRoundTripAndNaming)
@@ -458,18 +447,17 @@ TEST(CheckpointFiles, WriteReadRoundTripAndNaming)
     const std::string path = (dir / "stream-0.tcsp").string();
 
     const std::vector<uint8_t> blob = someValidBlob();
-    std::string error;
     EXPECT_FALSE(checkpointFileExists(path));
-    ASSERT_TRUE(writeCheckpointFile(path, blob, error)) << error;
+    ASSERT_TRUE(succeeded(writeCheckpointFile(path, blob)));
     EXPECT_TRUE(checkpointFileExists(path));
 
     std::vector<uint8_t> back;
-    ASSERT_TRUE(readCheckpointFile(path, back, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(path, back)));
     EXPECT_EQ(back, blob);
 
     std::vector<uint8_t> missing;
-    EXPECT_FALSE(readCheckpointFile((dir / "nope.tcsp").string(),
-                                    missing, error));
+    EXPECT_TRUE(
+        readCheckpointFile((dir / "nope.tcsp").string(), missing).failed());
     std::filesystem::remove_all(dir);
 }
 
@@ -502,8 +490,7 @@ TEST(CheckpointFiles, TornWriteNeverYieldsALoadableCheckpoint)
     ASSERT_TRUE(std::filesystem::exists(tmp));
     EXPECT_LT(std::filesystem::file_size(tmp), blob.size());
     std::vector<uint8_t> torn;
-    std::string error;
-    ASSERT_TRUE(readCheckpointFile(tmp, torn, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(tmp, torn)));
     Checkpoint ck;
     EXPECT_TRUE(decodeCheckpoint(torn, ck).failed());
 
@@ -515,7 +502,7 @@ TEST(CheckpointFiles, TornWriteNeverYieldsALoadableCheckpoint)
     EXPECT_FALSE(staleCheckpointTempExists(path));
 
     std::vector<uint8_t> back;
-    ASSERT_TRUE(readCheckpointFile(path, back, error)) << error;
+    ASSERT_TRUE(succeeded(readCheckpointFile(path, back)));
     EXPECT_EQ(back, blob);
     std::filesystem::remove_all(dir);
 }

@@ -193,13 +193,10 @@ TEST(ServingEngine, CheckpointResumeMatchesUninterruptedServe)
         const std::string name =
             streamCheckpointFileName(full[i].id);
         std::vector<uint8_t> a, b;
-        std::string error;
-        ASSERT_TRUE(readCheckpointFile(
-            (dir_resumed / name).string(), a, error))
-            << error;
-        ASSERT_TRUE(readCheckpointFile(
-            (dir_control / name).string(), b, error))
-            << error;
+        ASSERT_TRUE(
+            readCheckpointFile((dir_resumed / name).string(), a).ok());
+        ASSERT_TRUE(
+            readCheckpointFile((dir_control / name).string(), b).ok());
         EXPECT_EQ(a, b) << name;
     }
 

@@ -155,22 +155,21 @@ TEST(SweepPlan, ValidateRejectsBadSpecsTracesAndEmptyGrids)
     EXPECT_FALSE(plan.validate(&error));
 }
 
-TEST(SweepPlan, ResolveTraceArgsExpandsSetAliases)
+TEST(SweepPlan, TraceArgumentsExpandSetAliases)
 {
     std::vector<std::string> out;
     std::string error;
-    ASSERT_TRUE(SweepPlan::resolveTraceArgs({"cbp1"}, out, error));
+    ASSERT_TRUE(resolveTraceSpecs({"cbp1"}, out, error));
     EXPECT_EQ(out, traceNames(BenchmarkSet::Cbp1));
 
-    ASSERT_TRUE(SweepPlan::resolveTraceArgs({"ALL"}, out, error));
+    ASSERT_TRUE(resolveTraceSpecs({"ALL"}, out, error));
     EXPECT_EQ(out, allTraceNames());
 
-    ASSERT_TRUE(
-        SweepPlan::resolveTraceArgs({"FP-1", "cbp2"}, out, error));
+    ASSERT_TRUE(resolveTraceSpecs({"FP-1", "cbp2"}, out, error));
     EXPECT_EQ(out.size(), 1u + traceNames(BenchmarkSet::Cbp2).size());
     EXPECT_EQ(out.front(), "FP-1");
 
-    EXPECT_FALSE(SweepPlan::resolveTraceArgs({"nope"}, out, error));
+    EXPECT_FALSE(resolveTraceSpecs({"nope"}, out, error));
     EXPECT_NE(error.find("unknown trace"), std::string::npos);
 }
 

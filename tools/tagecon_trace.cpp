@@ -54,6 +54,16 @@ rejectUnknownFlags(const CliArgs& args,
     }
 }
 
+/** Open trace @p spec, or fatal() with the reader's message. */
+std::unique_ptr<TraceSource>
+openOrDie(const std::string& spec, uint64_t branches, uint64_t seed = 0)
+{
+    auto opened = openTraceSource(spec, branches, seed);
+    if (!opened.ok())
+        fatal(opened.error().detail);
+    return opened.take();
+}
+
 int
 cmdConvert(const CliArgs& args)
 {
@@ -75,9 +85,7 @@ cmdConvert(const CliArgs& args)
         args.getUint("branches", default_branches);
     const uint64_t seed = args.getUint("seed", 0);
 
-    auto src = tryMakeTraceSource(spec, branches, seed, &error);
-    if (!src)
-        fatal(error);
+    const auto src = openOrDie(from, branches, seed);
     const uint64_t written = writeTraceFile(out, *src);
     std::cout << "wrote " << written << " records of '" << src->name()
               << "' to " << out << "\n";
@@ -131,10 +139,13 @@ cmdInspect(const CliArgs& args)
     // reported as such (with the probe's error), not misdescribed as
     // an ASCII trace.
     TraceFileInfo info;
-    std::string error;
     const bool is_tcbt = looksLikeTcbt(path);
-    if (is_tcbt && !probeTraceFile(path, &info, &error))
-        fatal(error);
+    if (is_tcbt) {
+        auto probed = probeTrace(path);
+        if (!probed.ok())
+            fatal(probed.error().detail);
+        info = probed.take();
+    }
     std::cout << "file:    " << path << "\n";
     if (is_tcbt) {
         std::cout << "format:  tcbt (binary, version "
@@ -149,9 +160,7 @@ cmdInspect(const CliArgs& args)
                   << "name:    " << cbpAsciiTraceName(path) << "\n";
     }
 
-    auto src = tryMakeTraceSource("file:" + path, 0, 0, &error);
-    if (!src)
-        fatal(error);
+    const auto src = openOrDie("file:" + path, 0);
     const TraceStats s = collectStats(*src);
     const double taken_pct =
         s.records == 0
@@ -180,10 +189,7 @@ cmdHead(const CliArgs& args)
         fatal("head needs --in=PATH\n" + std::string(kUsage));
     const uint64_t count = args.getUint("count", 10);
 
-    std::string error;
-    auto src = tryMakeTraceSource("file:" + path, count, 0, &error);
-    if (!src)
-        fatal(error);
+    const auto src = openOrDie("file:" + path, count);
     BranchRecord rec;
     uint64_t shown = 0;
     std::cout << "# pc taken instructionsBefore\n";
