@@ -92,44 +92,27 @@ TagePredictor::bimodalIndex(uint64_t pc) const
                                  maskBits(config_.logBimodalEntries));
 }
 
-uint32_t
-TagePredictor::pathHash(int table) const
+void
+TagePredictor::hashLookup(const TableMeta& t, uint64_t shifted,
+                          uint32_t fold_a, uint32_t fold_b,
+                          uint32_t fold_c, uint32_t path,
+                          uint32_t& index, uint16_t& tag)
 {
-    // Classic TAGE "F" function: fold the path history register into
-    // logEntries bits with a table-dependent rotation so components do
-    // not alias the same way.
-    const TableMeta& t = meta_[static_cast<size_t>(table)];
+    // F: fold the path history into logEntries bits with a
+    // table-dependent rotation so components do not alias the same
+    // way. Every term is truncated to 32 bits before the xor, which
+    // commutes with the truncation.
     const int logg = t.logEntries;
-
-    uint32_t a = pathHistory_.value() & t.pathMask;
+    uint32_t a = path & t.pathMask;
     const uint32_t a1 = a & t.indexMask;
-    uint32_t a2 = a >> logg;
-    a2 = rotlMasked(a2, t.rot, logg, t.indexMask);
-    a = a1 ^ a2;
-    a = rotlMasked(a, t.rot, logg, t.indexMask);
-    return a;
-}
-
-uint32_t
-TagePredictor::taggedIndex(uint64_t pc, int table) const
-{
-    const TableMeta& t = meta_[static_cast<size_t>(table)];
-    const uint64_t shifted = pc >> config_.instShift;
-    const uint64_t mixed = shifted ^ (shifted >> t.idxShift) ^
-                           folds_[static_cast<size_t>(table)].a() ^
-                           pathHash(table);
-    return static_cast<uint32_t>(mixed) & t.indexMask;
-}
-
-uint16_t
-TagePredictor::taggedTag(uint64_t pc, int table) const
-{
-    const TableMeta& t = meta_[static_cast<size_t>(table)];
-    const FoldedHistoryTriple& f = folds_[static_cast<size_t>(table)];
-    const uint64_t shifted = pc >> config_.instShift;
-    const uint64_t mixed =
-        shifted ^ f.b() ^ (static_cast<uint64_t>(f.c()) << 1);
-    return static_cast<uint16_t>(static_cast<uint32_t>(mixed) & t.tagMask);
+    const uint32_t a2 = rotlMasked(a >> logg, t.rot, logg, t.indexMask);
+    a = rotlMasked(a1 ^ a2, t.rot, logg, t.indexMask);
+    index = (static_cast<uint32_t>(shifted ^ (shifted >> t.idxShift)) ^
+             fold_a ^ a) &
+            t.indexMask;
+    tag = static_cast<uint16_t>(
+        (static_cast<uint32_t>(shifted) ^ fold_b ^ (fold_c << 1)) &
+        t.tagMask);
 }
 
 TagePrediction
@@ -139,9 +122,12 @@ TagePredictor::predict(uint64_t pc) const
     const int m = config_.numTaggedTables();
 
     p.index[0] = bimodalIndex(pc);
+    const uint64_t shifted = pc >> config_.instShift;
     for (int i = 1; i <= m; ++i) {
-        p.index[static_cast<size_t>(i)] = taggedIndex(pc, i);
-        p.tag[static_cast<size_t>(i)] = taggedTag(pc, i);
+        const auto at = static_cast<size_t>(i);
+        const FoldedHistoryTriple& f = folds_[at];
+        hashLookup(meta_[at], shifted, f.a(), f.b(), f.c(),
+                   pathHistory_.value(), p.index[at], p.tag[at]);
     }
     fillFromTables(p);
     return p;
@@ -476,24 +462,9 @@ TagePredictor::advanceAndIndexBlock(std::span<const uint64_t> pcs,
         folds_[static_cast<size_t>(i)] = f;
 
         const TableMeta& t = meta_[static_cast<size_t>(i)];
-        const int logg = t.logEntries;
-        for (size_t k = 0; k < n; ++k) {
-            // Inline taggedIndex()/taggedTag() over the precomputed
-            // fold and path values (bit-identical: xor commutes with
-            // the truncation to 32 bits).
-            uint32_t a = pathv[k] & t.pathMask;
-            const uint32_t a1 = a & t.indexMask;
-            const uint32_t a2 =
-                rotlMasked(a >> logg, t.rot, logg, t.indexMask);
-            a = rotlMasked(a1 ^ a2, t.rot, logg, t.indexMask);
-            const uint64_t s = shifted[k];
-            idxV[k] = (static_cast<uint32_t>(s ^ (s >> t.idxShift)) ^
-                       aV[k] ^ a) &
-                      t.indexMask;
-            tagV[k] = static_cast<uint16_t>(
-                (static_cast<uint32_t>(s) ^ bV[k] ^ (cV[k] << 1)) &
-                t.tagMask);
-        }
+        for (size_t k = 0; k < n; ++k)
+            hashLookup(t, shifted[k], aV[k], bV[k], cV[k], pathv[k],
+                       idxV[k], tagV[k]);
         for (size_t k = 0; k < n; ++k) {
             out[k].index[static_cast<size_t>(i)] = idxV[k];
             out[k].tag[static_cast<size_t>(i)] = tagV[k];

@@ -196,17 +196,20 @@ class TagePredictor
      */
     void prefetchBatch(std::span<const TagePrediction> out);
 
-    /** Compute the index into tagged table @p table (1-based). */
-    uint32_t taggedIndex(uint64_t pc, int table) const;
-
-    /** Compute the partial tag for tagged table @p table (1-based). */
-    uint16_t taggedTag(uint64_t pc, int table) const;
+    /**
+     * Index and partial tag of one tagged-table lookup: the classic
+     * TAGE hash of the shifted PC @p shifted, the table's folds
+     * (@p fold_a index fold, @p fold_b / @p fold_c tag folds) and the
+     * path history @p path, mixed in by the F function. The one hash
+     * both predict() and advanceAndIndexBlock() use.
+     */
+    static void hashLookup(const TableMeta& t, uint64_t shifted,
+                           uint32_t fold_a, uint32_t fold_b,
+                           uint32_t fold_c, uint32_t path,
+                           uint32_t& index, uint16_t& tag);
 
     /** Bimodal table index. */
     uint32_t bimodalIndex(uint64_t pc) const;
-
-    /** Mix the path history into an index (classic TAGE F function). */
-    uint32_t pathHash(int table) const;
 
     /**
      * Update the tagged prediction counter at arena position @p at
