@@ -115,7 +115,6 @@ sliceSet(const SweepRow& row, BenchmarkSet set)
     double mpki_sum = 0.0;
     for (size_t i = begin; i < end; ++i) {
         slice.aggregate.merge(row.perTrace[i].stats);
-        // ordered-reduction: serial fold in plan trace order.
         mpki_sum += row.perTrace[i].stats.mpki();
     }
     if (end > begin)
@@ -953,15 +952,6 @@ joinNames(Pred keep)
 }
 
 } // namespace
-
-std::vector<std::string>
-paperPlanNames()
-{
-    std::vector<std::string> names;
-    for (const auto& plan : kPlans)
-        names.emplace_back(plan.name);
-    return names;
-}
 
 Expected<Report>
 runPaperPlan(const std::string& name, const PlanParams& params,

@@ -49,9 +49,6 @@ struct PlanParams {
     std::vector<std::string> predictors;
 };
 
-/** Names of the registered plans, in registry order. */
-std::vector<std::string> paperPlanNames();
-
 /**
  * Run plan @p name over @p sweep's workers. Fails (NotFound) on an
  * unknown name, listing the known ones, and (BadSpec) when

@@ -7,8 +7,8 @@
  * at or above the update threshold. The paper quotes its quality as
  * "quite good PVN (about one third of low-confidence predictions
  * mispredicted) but limited SPEC (only half of the mispredicted
- * branches classified low confidence)" — the bench_vs_selfconf binary
- * checks exactly that.
+ * branches classified low confidence)" — `tagecon_sweep
+ * --plan=vs_selfconf` checks exactly that.
  */
 
 #ifndef TAGECON_BASELINE_OGEHL_PREDICTOR_HPP

@@ -8,8 +8,8 @@
  *          historical bench output, byte for byte)
  *  - csv   the same walk with tables in RFC-4180 CSV
  *  - json  one machine-readable document ("tagecon-report-v1"): every
- *          table keeps its id, columns and row cells, so benches and
- *          tagecon_sweep --report=json share one schema
+ *          table keeps its id, columns and row cells, so the paper
+ *          plans and tagecon_sweep grids share one schema
  *
  * Cells are pre-formatted strings (through the shared TextTable
  * formatters), so a table's numbers are identical across all three

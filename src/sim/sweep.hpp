@@ -298,7 +298,7 @@ struct SweepRow {
 
 /**
  * Run @p plan and fold each spec's cells into one SweepRow — the shape
- * of the comparison benches (one table row per spec, pooled over both
+ * of the comparison plans (one table row per spec, pooled over both
  * benchmark sets).
  */
 [[nodiscard]] std::vector<SweepRow>
