@@ -1,35 +1,16 @@
 #include "analysis/analysis_config.hpp"
 
-#include <algorithm>
-#include <map>
-
 #include "analysis/observers.hpp"
-#include "util/logging.hpp"
+#include "sim/spec_params.hpp"
 #include "util/text.hpp"
 
 namespace tagecon {
 
 namespace {
 
-const char* const kBuiltinNames[] = {"burst", "histogram", "intervals",
-                                     "perbranch", "warmup"};
-
-bool
-isBuiltin(const std::string& name)
-{
-    for (const char* b : kBuiltinNames) {
-        if (name == b)
-            return true;
-    }
-    return false;
-}
-
-std::map<std::string, RunObserverFactory>&
-observerRegistry()
-{
-    static std::map<std::string, RunObserverFactory> registry;
-    return registry;
-}
+/** The selectable observers, sorted. */
+const char* const kObserverNames[] = {"burst", "histogram", "intervals",
+                                      "perbranch", "warmup"};
 
 /** Split "name[:params]" and parse the parameter list. */
 bool
@@ -53,7 +34,7 @@ splitObserverSpec(const std::string& item, std::string& name,
     return true;
 }
 
-/** Reject unread keys / malformed values after a factory consumed @p p. */
+/** Reject unread keys / malformed values once @p p has been read. */
 bool
 checkConsumed(const std::string& item, const SpecParams& p,
               std::string& error)
@@ -112,32 +93,14 @@ parseAnalysisSpecs(const std::vector<std::string>& items,
                 static_cast<int64_t>(out.warmupThresholdMkp), 1,
                 1000));
         } else {
-            const auto it = observerRegistry().find(name);
-            if (it == observerRegistry().end()) {
-                error = "unknown analysis observer '" + name +
-                        "' (known: ";
-                bool first = true;
-                for (const auto& known : registeredRunObservers()) {
-                    error += (first ? "" : ", ") + known;
-                    first = false;
-                }
-                error += ")";
-                return false;
+            error = "unknown analysis observer '" + name + "' (known: ";
+            bool first = true;
+            for (const auto& known : registeredRunObservers()) {
+                error += (first ? "" : ", ") + known;
+                first = false;
             }
-            // Probe-construct so a sweep worker can't hit a bad
-            // observer spec mid-grid (mirrors predictor validation).
-            std::string factory_error;
-            auto probe = it->second(params, factory_error);
-            if (!probe) {
-                error = "analysis spec '" + item + "': " +
-                        (factory_error.empty() ? "observer construction failed"
-                                               : factory_error);
-                return false;
-            }
-            if (!checkConsumed(item, params, error))
-                return false;
-            out.custom.push_back(toLower(item));
-            continue;
+            error += ")";
+            return false;
         }
         if (!checkConsumed(item, params, error))
             return false;
@@ -164,43 +127,13 @@ buildObservers(const AnalysisConfig& config)
     if (config.warmup)
         observers.push_back(std::make_unique<WarmupObserver>(
             config.warmupIntervalLength, config.warmupThresholdMkp));
-
-    for (const auto& item : config.custom) {
-        std::string name;
-        SpecParams params;
-        std::string error;
-        if (!splitObserverSpec(item, name, params, error))
-            fatal("buildObservers: " + error);
-        const auto it = observerRegistry().find(name);
-        if (it == observerRegistry().end())
-            fatal("buildObservers: observer '" + name +
-                  "' is no longer registered");
-        auto observer = it->second(params, error);
-        if (!observer)
-            fatal("buildObservers: " + error);
-        observers.push_back(std::move(observer));
-    }
     return observers;
-}
-
-void
-registerRunObserver(const std::string& name, RunObserverFactory factory)
-{
-    const std::string key = toLower(name);
-    TAGECON_ASSERT(!isBuiltin(key),
-                   "cannot replace a built-in observer");
-    observerRegistry()[key] = std::move(factory);
 }
 
 std::vector<std::string>
 registeredRunObservers()
 {
-    std::vector<std::string> names(std::begin(kBuiltinNames),
-                                   std::end(kBuiltinNames));
-    for (const auto& [name, factory] : observerRegistry())
-        names.push_back(name);
-    std::sort(names.begin(), names.end());
-    return names;
+    return {std::begin(kObserverNames), std::end(kObserverNames)};
 }
 
 } // namespace tagecon

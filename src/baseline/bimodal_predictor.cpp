@@ -47,10 +47,10 @@ BimodalPredictor::highConfidence(uint64_t pc) const
     return !packed::unsignedWeak(table_[indexFor(pc)], ctrBits_);
 }
 
-UnsignedSatCounter
+unsigned
 BimodalPredictor::counterFor(uint64_t pc) const
 {
-    return UnsignedSatCounter(ctrBits_, table_[indexFor(pc)]);
+    return table_[indexFor(pc)];
 }
 
 void

@@ -38,8 +38,8 @@ class BimodalPredictor : public ConditionalPredictor
      */
     bool highConfidence(uint64_t pc) const;
 
-    /** Snapshot of the counter backing @p pc (tests / introspection). */
-    UnsignedSatCounter counterFor(uint64_t pc) const;
+    /** Raw value of the counter backing @p pc (tests / introspection). */
+    unsigned counterFor(uint64_t pc) const;
 
     /** Serialize geometry fingerprint + counter table. */
     void saveState(StateWriter& out) const;

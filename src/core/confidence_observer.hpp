@@ -98,12 +98,13 @@ class ConfidenceObserver
 
     /**
      * Overwrite the burst counter with a checkpointed value, clamped
-     * to its reachable range [0, window()].
+     * to its reachable range [0, window()] before it is narrowed.
      */
     void
-    restoreSinceBimMiss(int v)
+    restoreSinceBimMiss(int64_t v)
     {
-        sinceBimMiss_ = v < 0 ? 0 : (v > window_ ? window_ : v);
+        sinceBimMiss_ =
+            v < 0 ? 0 : (v > window_ ? window_ : static_cast<int>(v));
     }
 
   private:

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <map>
 #include <sstream>
 
 #include "baseline/graded_baselines.hpp"
 #include "core/estimators.hpp"
+#include "sim/spec_params.hpp"
 #include "tage/graded_tage.hpp"
 #include "util/logging.hpp"
 #include "util/text.hpp"
@@ -14,6 +16,33 @@
 namespace tagecon {
 
 namespace {
+
+/** Parsed spec modifiers handed to predictor base factories. */
+struct SpecModifiers {
+    /** Enable the probabilistic saturation automaton (Sec. 6). */
+    bool prob = false;
+
+    /** log2(1/p) when prob is set. */
+    unsigned probLog2 = 7;
+
+    /** Drive p with the adaptive controller (Sec. 6.2). */
+    bool adaptive = false;
+};
+
+/**
+ * Factory for one predictor base. Returns the predictor, or nullptr
+ * after filling @p error (e.g. when a modifier does not apply).
+ *
+ * @p params is the spec's "key=value,..." list; read every supported
+ * key through the typed getters (with the base's default as the
+ * fallback). The registry rejects the spec after the factory returns
+ * if any supplied key was never read or any value was malformed, so
+ * factories need no unknown-key handling of their own.
+ */
+using PredictorBaseFactory =
+    std::function<std::unique_ptr<GradedPredictor>(
+        const SpecParams& params, const SpecModifiers& mods,
+        std::string& error)>;
 
 /** Split @p spec on '+'; empty tokens are malformed. */
 bool
@@ -170,10 +199,14 @@ ltageFactory(TageGeometry geometry)
     };
 }
 
-std::map<std::string, PredictorBaseFactory>&
+/**
+ * The predictor bases, by name. Built once and never written again,
+ * so sweep and serve workers read it without a lock.
+ */
+const std::map<std::string, PredictorBaseFactory>&
 baseRegistry()
 {
-    static std::map<std::string, PredictorBaseFactory> registry = [] {
+    static const std::map<std::string, PredictorBaseFactory> registry = [] {
         std::map<std::string, PredictorBaseFactory> r;
         r["tage16k"] = tageFactory(TageConfig::geometry16K());
         r["tage64k"] = tageFactory(TageConfig::geometry64K());
@@ -382,13 +415,6 @@ makeEstimator(const std::string& token)
 
 } // namespace
 
-void
-registerPredictorBase(const std::string& name,
-                      PredictorBaseFactory factory)
-{
-    baseRegistry()[toLower(name)] = std::move(factory);
-}
-
 std::vector<std::string>
 registeredBases()
 {
@@ -463,8 +489,8 @@ tryMakePredictor(const std::string& spec, std::string* error)
     std::string err;
     std::unique_ptr<GradedPredictor> predictor;
     if (parseSpec(spec, parsed, err)) {
-        predictor =
-            baseRegistry()[parsed.base](parsed.params, parsed.mods, err);
+        predictor = baseRegistry().at(parsed.base)(parsed.params,
+                                                    parsed.mods, err);
         // Parameter hygiene: every supplied key must have been read by
         // the factory, and every value must have parsed cleanly.
         if (predictor && !parsed.params.error().empty()) {

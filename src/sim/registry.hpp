@@ -14,7 +14,6 @@
  *   base      := tage16k | tage64k | tage256k
  *              | ltage16k | ltage64k | ltage256k
  *              | gshare | bimodal | perceptron | ogehl
- *              | any name added via registerPredictorBase()
  *   params    := key '=' value ( ',' key '=' value )*
  *                geometry overrides of the base, e.g.
  *                "gshare:hist=17,entries=16" or
@@ -40,50 +39,13 @@
 #ifndef TAGECON_SIM_REGISTRY_HPP
 #define TAGECON_SIM_REGISTRY_HPP
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/graded_predictor.hpp"
-#include "sim/spec_params.hpp"
 
 namespace tagecon {
-
-/** Parsed spec modifiers handed to predictor base factories. */
-struct SpecModifiers {
-    /** Enable the probabilistic saturation automaton (Sec. 6). */
-    bool prob = false;
-
-    /** log2(1/p) when prob is set. */
-    unsigned probLog2 = 7;
-
-    /** Drive p with the adaptive controller (Sec. 6.2). */
-    bool adaptive = false;
-};
-
-/**
- * Factory for one predictor base. Returns the predictor, or nullptr
- * after filling @p error (e.g. when a modifier does not apply).
- *
- * @p params is the spec's "key=value,..." list; read every supported
- * key through the typed getters (with the base's default as the
- * fallback). The registry rejects the spec after the factory returns
- * if any supplied key was never read or any value was malformed, so
- * factories need no unknown-key handling of their own.
- */
-using PredictorBaseFactory =
-    std::function<std::unique_ptr<GradedPredictor>(
-        const SpecParams& params, const SpecModifiers& mods,
-        std::string& error)>;
-
-/**
- * Register (or replace) a predictor base under @p name, making
- * "<name>[+...]" specs constructible. The built-in bases are
- * pre-registered; this is the extension point for new families.
- */
-void registerPredictorBase(const std::string& name,
-                           PredictorBaseFactory factory);
 
 /** Registered base names, sorted. */
 std::vector<std::string> registeredBases();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 
 #include "obs/metrics.hpp"
 #include "trace/cbp_ascii.hpp"
@@ -52,13 +51,6 @@ isKnownProfile(const std::string& name)
 {
     const auto names = allTraceNames();
     return std::find(names.begin(), names.end(), name) != names.end();
-}
-
-std::map<std::string, std::vector<std::string>>&
-traceSetRegistry()
-{
-    static std::map<std::string, std::vector<std::string>> registry;
-    return registry;
 }
 
 } // namespace
@@ -126,28 +118,6 @@ validateTraceSpec(const TraceSpec& spec, std::string* error)
     return false;
 }
 
-void
-registerTraceSet(const std::string& name,
-                 std::vector<std::string> specs)
-{
-    const std::string key = toLower(name);
-    if (key == "all" || key == "cbp1" || key == "cbp2")
-        fatal("trace set name '" + name +
-              "' collides with a built-in alias");
-    if (key.empty() || specs.empty())
-        fatal("registerTraceSet() needs a name and at least one spec");
-    traceSetRegistry()[key] = std::move(specs);
-}
-
-std::vector<std::string>
-registeredTraceSets()
-{
-    std::vector<std::string> names;
-    for (const auto& [name, specs] : traceSetRegistry())
-        names.push_back(name);
-    return names;
-}
-
 bool
 resolveTraceSpecs(const std::vector<std::string>& args,
                   std::vector<std::string>& out, std::string& error)
@@ -165,10 +135,6 @@ resolveTraceSpecs(const std::vector<std::string>& args,
         } else if (key == "cbp2") {
             const auto& names = traceNames(BenchmarkSet::Cbp2);
             expanded.insert(expanded.end(), names.begin(), names.end());
-        } else if (auto it = traceSetRegistry().find(key);
-                   it != traceSetRegistry().end()) {
-            expanded.insert(expanded.end(), it->second.begin(),
-                            it->second.end());
         } else {
             expanded.push_back(arg);
         }

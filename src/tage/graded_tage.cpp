@@ -157,7 +157,7 @@ GradedTage::restore(StateReader& in, std::string& error)
         reset();
         return false;
     }
-    observer_.restoreSinceBimMiss(static_cast<int>(since_bim_miss));
+    observer_.restoreSinceBimMiss(since_bim_miss);
     seq_ = seq;
     lastIntrinsicLevel_ = kAllConfidenceLevels[level];
     return true;

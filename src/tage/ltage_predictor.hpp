@@ -45,8 +45,7 @@ class LTagePredictor
      */
     explicit LTagePredictor(TageConfig tage_config,
                             LoopPredictor::Config loop_config = {})
-        : tage_(std::move(tage_config)), loop_(loop_config),
-          withLoop_(7, -1) // 7-bit hysteresis, start distrusting
+        : tage_(std::move(tage_config)), loop_(loop_config)
     {
     }
 
@@ -57,7 +56,7 @@ class LTagePredictor
         LTagePrediction p;
         p.tage = tage_.predict(pc);
         p.loop = loop_.lookup(pc);
-        if (p.loop.valid && withLoop_.value() >= 0) {
+        if (p.loop.valid && withLoop_ >= 0) {
             p.taken = p.loop.taken;
             p.fromLoopPredictor = true;
         } else {
@@ -73,7 +72,8 @@ class LTagePredictor
         // WITHLOOP learns whether the loop predictor beats TAGE when
         // they disagree.
         if (p.loop.valid && p.loop.taken != p.tage.taken)
-            withLoop_.update(p.loop.taken == taken);
+            withLoop_ = packed::signedUpdate(withLoop_, kWithLoopBits,
+                                             p.loop.taken == taken);
 
         loop_.update(pc, taken, p.tage.taken != taken);
         tage_.update(pc, p.tage, taken);
@@ -86,7 +86,7 @@ class LTagePredictor
     const LoopPredictor& loopPredictor() const { return loop_; }
 
     /** WITHLOOP hysteresis value (introspection / tests). */
-    int withLoop() const { return withLoop_.value(); }
+    int withLoop() const { return withLoop_; }
 
     /** Total storage in bits (TAGE tables + loop table). */
     uint64_t
@@ -98,7 +98,9 @@ class LTagePredictor
   private:
     TagePredictor tage_;
     LoopPredictor loop_;
-    SignedSatCounter withLoop_;
+    /** WITHLOOP: a 7-bit hysteresis counter, starting distrustful. */
+    static constexpr int kWithLoopBits = 7;
+    int withLoop_ = -1;
 };
 
 } // namespace tagecon

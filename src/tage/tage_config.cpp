@@ -139,6 +139,9 @@ TageConfig::validate() const
               "counters must pack into one byte (ctr + u bits <= 8)");
     if (pathHistoryBits < 1 || pathHistoryBits > 32)
         fatal("TAGE config '" + name + "': bad path history width");
+    if (useAltOnNaBits < 1 || useAltOnNaBits > 15)
+        fatal("TAGE config '" + name +
+              "': bad USE_ALT_ON_NA counter width");
     if (satLog2Prob > 15)
         fatal("TAGE config '" + name + "': satLog2Prob too large");
     int prev = 0;

@@ -85,7 +85,7 @@ struct TageConfig {
     /** Path history register width mixed into the index hash. */
     int pathHistoryBits = 16;
 
-    /** USE_ALT_ON_NA counter width (signed); 4 bits in the paper. */
+    /** USE_ALT_ON_NA counter width (signed, 1-15); 4 bits in the paper. */
     int useAltOnNaBits = 4;
 
     /**

@@ -43,7 +43,6 @@ TagePredictor::TagePredictor(TageConfig config, uint16_t lfsr_seed)
     : config_(std::move(config)),
       history_(static_cast<size_t>(config_.maxHistoryLength()) + 2),
       pathHistory_(config_.pathHistoryBits),
-      useAltOnNa_(config_.useAltOnNaBits, 0),
       lfsr_(lfsr_seed), lfsrSeed_(lfsr_seed)
 {
     config_.validate();
@@ -197,8 +196,7 @@ TagePredictor::fillFromTables(TagePrediction& p) const
 
         // Sec. 3.1: when the provider entry is weak and USE_ALT_ON_NA
         // is non-negative, the alternate prediction is used instead.
-        if (config_.useAltOnNa && p.providerWeak &&
-            useAltOnNa_.value() >= 0) {
+        if (config_.useAltOnNa && p.providerWeak && useAltOnNa_ >= 0) {
             p.taken = p.altTaken;
             p.usedAlt = true;
         } else {
@@ -307,7 +305,8 @@ TagePredictor::train(const TagePrediction& p, bool taken)
         // provider whose direction differs from the alternate, learn
         // which of the two tends to be right (Sec. 3.1).
         if (p.providerWeak && p.providerPredTaken != p.altTaken)
-            useAltOnNa_.update(p.altTaken == taken);
+            useAltOnNa_ = packed::signedUpdate(
+                useAltOnNa_, config_.useAltOnNaBits, p.altTaken == taken);
 
         updateTaggedCtr(at, taken);
 
@@ -537,17 +536,15 @@ TagePredictor::taggedEntry(int table, uint32_t index) const
     TAGECON_ASSERT(index <= t.indexMask, "tagged index out of range");
     const uint32_t at = t.offset + index;
     const int cb = config_.taggedCtrBits;
-    return TaggedEntry{
-        SignedSatCounter(cb, packed::ctruCtr(ctru_[at], cb)), tag_[at],
-        UnsignedSatCounter(config_.usefulBits,
-                           packed::ctruU(ctru_[at], cb))};
+    return TaggedEntry{packed::ctruCtr(ctru_[at], cb), tag_[at],
+                       packed::ctruU(ctru_[at], cb)};
 }
 
-UnsignedSatCounter
+unsigned
 TagePredictor::bimodalEntry(uint32_t index) const
 {
     TAGECON_ASSERT(index < bimodal_.size(), "bimodal index out of range");
-    return UnsignedSatCounter(config_.bimodalCtrBits, bimodal_[index]);
+    return bimodal_[index];
 }
 
 void
@@ -601,7 +598,7 @@ TagePredictor::saveState(StateWriter& out) const
         out.u32(f.c());
     }
 
-    out.i64(useAltOnNa_.value());
+    out.i64(useAltOnNa_);
     out.u16(lfsr_.value());
     out.u16(lfsrSeed_);
     out.u64(updates_);
@@ -695,7 +692,7 @@ TagePredictor::loadState(StateReader& in, std::string& error)
         const auto& f = fold_state[static_cast<size_t>(i - 1)];
         folds_[static_cast<size_t>(i)].restore(f[0], f[1], f[2]);
     }
-    useAltOnNa_.set(static_cast<int>(use_alt));
+    useAltOnNa_ = packed::signedClamp(use_alt, config_.useAltOnNaBits);
     lfsr_.setState(lfsr);
     lfsrSeed_ = lfsr_seed;
     updates_ = updates;

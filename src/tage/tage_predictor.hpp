@@ -91,7 +91,7 @@ class TagePredictor
     unsigned satLog2Prob() const { return config_.satLog2Prob; }
 
     /** Value of the USE_ALT_ON_NA counter (introspection/tests). */
-    int useAltOnNa() const { return useAltOnNa_.value(); }
+    int useAltOnNa() const { return useAltOnNa_; }
 
     /** Number of tagged-entry allocations performed so far. */
     uint64_t allocations() const { return allocations_; }
@@ -105,19 +105,20 @@ class TagePredictor
     /**
      * Value snapshot of one tagged-component entry (tests /
      * introspection). The live storage is packed (see the SoA arenas
-     * below); this view materializes full counter objects on demand.
+     * below); this view unpacks the raw counter values, which the
+     * packed:: ops interpret with the config's widths.
      */
     struct TaggedEntry {
-        SignedSatCounter ctr{3, 0};
+        int ctr = 0;
         uint16_t tag = 0;
-        UnsignedSatCounter u{2, 0};
+        unsigned u = 0;
     };
 
     /** Snapshot of a tagged entry (tests / introspection). */
     TaggedEntry taggedEntry(int table, uint32_t index) const;
 
-    /** Snapshot of a bimodal counter (tests / introspection). */
-    UnsignedSatCounter bimodalEntry(uint32_t index) const;
+    /** Raw bimodal counter value (tests / introspection). */
+    unsigned bimodalEntry(uint32_t index) const;
 
     /**
      * Serialize the complete architectural state — packed SoA arenas
@@ -246,7 +247,8 @@ class TagePredictor
     /** Fused index/tag/tag-1 folds, one contiguous struct per table. */
     std::vector<FoldedHistoryTriple> folds_; // [1..M], [0] unused
 
-    SignedSatCounter useAltOnNa_;
+    /** USE_ALT_ON_NA, a config_.useAltOnNaBits-wide signed counter. */
+    int useAltOnNa_ = 0;
     Lfsr16 lfsr_;
     uint16_t lfsrSeed_;
 

@@ -2,22 +2,16 @@
  * @file
  * Saturating counter primitives used throughout the predictor code.
  *
- * Three layers are provided:
- *  - packed::*: static saturating-counter operations on raw storage
- *    bytes, parameterized by a table-level width. These are what the
- *    hot predictor tables use: a table stores one int8_t/uint8_t per
- *    counter (hardware stores 2-4 bits) and applies these ops with the
- *    width held once per table instead of once per entry.
- *  - SignedSatCounter: the width-parameterized two's-complement counter
- *    used for low-frequency architectural registers (USE_ALT_ON_NA).
- *    Its sign encodes the prediction; |2*ctr + 1| encodes the strength,
- *    which is the quantity the confidence classes of the paper (Sec. 5.2)
- *    are defined on.
- *  - UnsignedSatCounter: the classic [0, 2^bits - 1] counter.
+ * packed::* are static saturating-counter operations on raw values,
+ * parameterized by a width. They are the only counter vocabulary: the
+ * hot predictor tables store one int8_t/uint8_t per counter (hardware
+ * stores 2-4 bits) and apply these ops with the width held once per
+ * table, and the low-frequency architectural registers (USE_ALT_ON_NA,
+ * L-TAGE's WITHLOOP) are plain ints updated by the same ops.
  *
- * Both classes delegate to the packed:: ops, so every consumer —
- * packed tables and counter objects alike — shares one transition
- * function.
+ * A signed counter's sign encodes the prediction; |2*ctr + 1| encodes
+ * the strength, which is the quantity the confidence classes of the
+ * paper (Sec. 5.2) are defined on.
  */
 
 #ifndef TAGECON_UTIL_SATURATING_COUNTER_HPP
@@ -25,18 +19,16 @@
 
 #include <cstdint>
 
-#include "util/logging.hpp"
-
 namespace tagecon {
 
 /**
  * Static saturating-counter operations over raw packed values.
  *
  * Signed counters live in [-2^(bits-1), 2^(bits-1) - 1] and are stored
- * as plain int8_t (bits <= 8); unsigned counters live in
- * [0, 2^bits - 1] and are stored as plain uint8_t (bits <= 8) or wider
- * integers when the caller needs them (bits <= 16 for the counter
- * class). The width is passed per call so a table can hold it once.
+ * as plain int8_t in the tables (bits <= 8) or int registers (bits <=
+ * 15); unsigned counters live in [0, 2^bits - 1] and are stored as
+ * plain uint8_t (bits <= 8). The width is passed per call so a table
+ * can hold it once.
  */
 namespace packed {
 
@@ -54,13 +46,16 @@ signedMax(int bits)
     return (1 << (bits - 1)) - 1;
 }
 
-/** Clamp @p v into the signed range of @p bits. */
+/**
+ * Clamp @p v into the signed range of @p bits. Takes 64 bits so a
+ * value read from a checkpoint is clamped before it is narrowed.
+ */
 constexpr int
-signedClamp(int v, int bits)
+signedClamp(int64_t v, int bits)
 {
     const int lo = signedMin(bits);
     const int hi = signedMax(bits);
-    return v < lo ? lo : (v > hi ? hi : v);
+    return v < lo ? lo : (v > hi ? hi : static_cast<int>(v));
 }
 
 /** Signed counter predicts taken when the sign bit is clear. */
@@ -121,13 +116,6 @@ unsignedMax(int bits)
     return (1u << bits) - 1;
 }
 
-/** Clamp @p v into the unsigned range of @p bits. */
-constexpr unsigned
-unsignedClamp(unsigned v, int bits)
-{
-    return v > unsignedMax(bits) ? unsignedMax(bits) : v;
-}
-
 /** Unsigned counter predicts taken in the upper half of its range. */
 constexpr bool
 unsignedTaken(unsigned v, int bits)
@@ -141,13 +129,6 @@ unsignedWeak(unsigned v, int bits)
 {
     const unsigned mid = 1u << (bits - 1);
     return v == mid || v == mid - 1;
-}
-
-/** True at either rail. */
-constexpr bool
-unsignedSaturated(unsigned v, int bits)
-{
-    return v == 0 || v == unsignedMax(bits);
 }
 
 /** Saturating increment; returns the new value. */
@@ -230,182 +211,6 @@ ctruAgeU(uint8_t v, int ctr_bits)
 }
 
 } // namespace packed
-
-/**
- * Width-parameterized signed saturating counter.
- *
- * The value saturates at [-2^(bits-1), 2^(bits-1) - 1]. The counter
- * "predicts taken" when its value is >= 0 (i.e. the sign bit is clear),
- * matching the TAGE convention where an entry's ctr sign provides the
- * prediction.
- */
-class SignedSatCounter
-{
-  public:
-    /**
-     * @param bits Counter width in bits; must be in [1, 15].
-     * @param initial Initial value, clamped to the representable range.
-     */
-    explicit SignedSatCounter(int bits = 3, int initial = 0)
-        : bits_(bits)
-    {
-        TAGECON_ASSERT(bits >= 1 && bits <= 15,
-                       "signed counter width out of range");
-        set(initial);
-    }
-
-    /** Smallest representable value (e.g. -4 for 3 bits). */
-    int min() const { return packed::signedMin(bits_); }
-
-    /** Largest representable value (e.g. +3 for 3 bits). */
-    int max() const { return packed::signedMax(bits_); }
-
-    /** Current value. */
-    int value() const { return value_; }
-
-    /** Counter width in bits. */
-    int bits() const { return bits_; }
-
-    /** Set the value, clamping to the representable range. */
-    void
-    set(int v)
-    {
-        value_ = static_cast<int16_t>(packed::signedClamp(v, bits_));
-    }
-
-    /** True when the counter predicts taken (value >= 0). */
-    bool taken() const { return packed::signedTaken(value_); }
-
-    /**
-     * Prediction strength |2*ctr + 1|: 1 for a weak counter, up to
-     * 2^bits - 1 for a saturated counter. The paper's tagged-component
-     * classes Wtag/NWtag/NStag/Stag correspond to strengths 1/3/5/7 of a
-     * 3-bit counter.
-     */
-    int strength() const { return packed::signedStrength(value_); }
-
-    /** True when the counter is weak, i.e. strength() == 1. */
-    bool weak() const { return packed::signedWeak(value_); }
-
-    /** True when the counter is saturated at either rail. */
-    bool saturated() const { return packed::signedSaturated(value_, bits_); }
-
-    /**
-     * Standard saturating update toward an outcome: increments on taken,
-     * decrements on not-taken.
-     */
-    void
-    update(bool outcome_taken)
-    {
-        value_ = static_cast<int16_t>(
-            packed::signedUpdate(value_, bits_, outcome_taken));
-    }
-
-    /**
-     * True iff update(outcome_taken) would move the counter into a
-     * saturated state from a non-saturated one. The probabilistic
-     * automaton of Sec. 6 gates exactly this transition.
-     */
-    bool
-    updateWouldSaturate(bool outcome_taken) const
-    {
-        return packed::signedUpdateWouldSaturate(value_, bits_,
-                                                 outcome_taken);
-    }
-
-    bool operator==(const SignedSatCounter& o) const = default;
-
-  private:
-    int16_t value_ = 0;
-    int bits_;
-};
-
-/**
- * Width-parameterized unsigned saturating counter in [0, 2^bits - 1].
- * Predicts taken when in the upper half of its range.
- */
-class UnsignedSatCounter
-{
-  public:
-    /**
-     * @param bits Counter width in bits; must be in [1, 16].
-     * @param initial Initial value, clamped to the representable range.
-     */
-    explicit UnsignedSatCounter(int bits = 2, unsigned initial = 0)
-        : bits_(bits)
-    {
-        TAGECON_ASSERT(bits >= 1 && bits <= 16,
-                       "unsigned counter width out of range");
-        set(initial);
-    }
-
-    /** Largest representable value. */
-    unsigned max() const { return packed::unsignedMax(bits_); }
-
-    /** Current value. */
-    unsigned value() const { return value_; }
-
-    /** Counter width in bits. */
-    int bits() const { return bits_; }
-
-    /** Set the value, clamping to the representable range. */
-    void
-    set(unsigned v)
-    {
-        value_ = static_cast<uint16_t>(packed::unsignedClamp(v, bits_));
-    }
-
-    /** True when the counter predicts taken (upper half of the range). */
-    bool taken() const { return packed::unsignedTaken(value_, bits_); }
-
-    /**
-     * True when the counter is weak: at either of the two middle values
-     * (e.g. 1 or 2 for a 2-bit counter). The paper's low-conf-bim class
-     * is exactly "bimodal provider and weak 2-bit counter".
-     */
-    bool weak() const { return packed::unsignedWeak(value_, bits_); }
-
-    /** True when saturated at either rail. */
-    bool
-    saturated() const
-    {
-        return packed::unsignedSaturated(value_, bits_);
-    }
-
-    /** Saturating increment. */
-    void
-    increment()
-    {
-        value_ = static_cast<uint16_t>(packed::unsignedInc(value_, bits_));
-    }
-
-    /** Saturating decrement. */
-    void
-    decrement()
-    {
-        value_ = static_cast<uint16_t>(packed::unsignedDec(value_));
-    }
-
-    /** Saturating update toward an outcome. */
-    void
-    update(bool outcome_taken)
-    {
-        value_ = static_cast<uint16_t>(
-            packed::unsignedUpdate(value_, bits_, outcome_taken));
-    }
-
-    /** Reset to zero (used by JRS on a misprediction). */
-    void reset() { value_ = 0; }
-
-    /** Halve the value via a one-bit right shift (graceful aging). */
-    void shiftDown() { value_ >>= 1; }
-
-    bool operator==(const UnsignedSatCounter& o) const = default;
-
-  private:
-    uint16_t value_ = 0;
-    int bits_;
-};
 
 } // namespace tagecon
 

@@ -3,9 +3,9 @@
  * Tests for the run-analysis observer subsystem: interval boundary
  * handling, histogram/ClassStats consistency, per-branch top-N
  * tie-breaking determinism, warmup detection, the analysis spec
- * grammar and the custom-observer registry, the zero-observer
- * equivalence of the observer-enabled runTrace loop, and the equality
- * of its batched replay with a scalar predict/update reference.
+ * grammar, the zero-observer equivalence of the observer-enabled
+ * runTrace loop, and the equality of its batched replay with a scalar
+ * predict/update reference.
  */
 
 #include <gtest/gtest.h>
@@ -320,8 +320,8 @@ TEST(AnalysisConfig, RejectsUnknownObserversKeysAndBadValues)
     AnalysisConfig cfg;
     std::string error;
     EXPECT_FALSE(parseAnalysisSpecs({"nope"}, cfg, error));
-    EXPECT_NE(error.find("unknown analysis observer"),
-              std::string::npos);
+    EXPECT_EQ(error, "unknown analysis observer 'nope' (known: burst, "
+                     "histogram, intervals, perbranch, warmup)");
 
     EXPECT_FALSE(parseAnalysisSpecs({"intervals:nope=3"}, cfg, error));
     EXPECT_NE(error.find("unknown parameter"), std::string::npos);
@@ -330,65 +330,6 @@ TEST(AnalysisConfig, RejectsUnknownObserversKeysAndBadValues)
     EXPECT_FALSE(
         parseAnalysisSpecs({"perbranch:top=banana"}, cfg, error));
     EXPECT_FALSE(parseAnalysisSpecs({"warmup:mkp=0"}, cfg, error));
-}
-
-/** Toy registered observer: counts predictions into the custom bag. */
-class CountingObserver : public RunObserver
-{
-  public:
-    explicit CountingObserver(int64_t scale) : scale_(scale) {}
-    std::string name() const override { return "counting"; }
-
-    void
-    onPrediction(const ObservedPrediction&) override
-    {
-        ++count_;
-    }
-
-    void
-    finish(RunAnalysis& out) override
-    {
-        out.custom["counting/scaled"] =
-            static_cast<double>(count_ * scale_);
-    }
-
-  private:
-    int64_t scale_;
-    uint64_t count_ = 0;
-};
-
-TEST(AnalysisConfig, RegisteredObserverFlowsThroughPipeline)
-{
-    registerRunObserver(
-        "counting",
-        [](const SpecParams& params,
-           std::string& error) -> std::unique_ptr<RunObserver> {
-            const int64_t scale = params.getInt("scale", 1, 1, 100);
-            if (!params.error().empty()) {
-                error = params.error();
-                return nullptr;
-            }
-            return std::make_unique<CountingObserver>(scale);
-        });
-
-    AnalysisConfig cfg;
-    std::string error;
-    ASSERT_TRUE(
-        parseAnalysisSpecs({"counting:scale=3"}, cfg, error))
-        << error;
-    ASSERT_EQ(cfg.custom.size(), 1u);
-
-    SyntheticTrace trace = makeTrace("FP-1", 5000);
-    auto predictor = makePredictor("bimodal");
-    const RunResult rr = runTrace(trace, *predictor, cfg);
-    ASSERT_EQ(rr.analysis.custom.count("counting/scaled"), 1u);
-    EXPECT_DOUBLE_EQ(rr.analysis.custom.at("counting/scaled"),
-                     15000.0);
-
-    // A bad parameter for the registered observer is caught at parse.
-    AnalysisConfig bad;
-    EXPECT_FALSE(
-        parseAnalysisSpecs({"counting:scale=0"}, bad, error));
 }
 
 TEST(RunTraceObservers, EmptyPipelineMatchesPlainLoopExactly)

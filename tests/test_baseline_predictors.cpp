@@ -48,7 +48,7 @@ TEST(Bimodal, SmithSelfConfidence)
     for (int i = 0; i < 4; ++i)
         p.update(0x40, true);
     EXPECT_TRUE(p.highConfidence(0x40));
-    EXPECT_TRUE(p.counterFor(0x40).saturated());
+    EXPECT_EQ(p.counterFor(0x40), packed::unsignedMax(2)); // saturated
 }
 
 TEST(Bimodal, StorageBits)

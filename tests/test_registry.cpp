@@ -339,45 +339,5 @@ TEST(RegistryParams, ParameterizedTageStillTakesModifiersAndSfc)
     EXPECT_EQ(r.stats.totalPredictions(), 3000u);
 }
 
-TEST(Registry, NewBasesCanBeRegistered)
-{
-    registerPredictorBase(
-        "alwaystaken",
-        [](const SpecParams& params, const SpecModifiers& mods,
-           std::string& error) -> std::unique_ptr<GradedPredictor> {
-            (void)params;
-            if (mods.prob || mods.adaptive) {
-                error = "modifiers not supported";
-                return nullptr;
-            }
-            class AlwaysTaken : public GradedPredictor
-            {
-              public:
-                Prediction predict(uint64_t) override
-                {
-                    Prediction p;
-                    p.taken = true;
-                    return p;
-                }
-                void update(uint64_t, const Prediction&, bool) override {}
-                uint64_t storageBits() const override { return 0; }
-                void reset() override {}
-
-              protected:
-                std::string defaultName() const override
-                {
-                    return "alwaystaken";
-                }
-            };
-            return std::make_unique<AlwaysTaken>();
-        });
-
-    auto p = makePredictor("alwaystaken+jrs");
-    EXPECT_EQ(p->name(), "alwaystaken+jrs");
-    SyntheticTrace trace = makeTrace("FP-1", 1000);
-    const RunResult r = runTrace(trace, *p);
-    EXPECT_EQ(r.stats.totalPredictions(), 1000u);
-}
-
 } // namespace
 } // namespace tagecon

@@ -31,6 +31,7 @@
 #include "serve/checkpoint.hpp"
 #include "sim/registry.hpp"
 #include "sim/trace_registry.hpp"
+#include "tage/graded_tage.hpp"
 #include "tage/tage_predictor.hpp"
 #include "util/failpoint.hpp"
 #include "util/random.hpp"
@@ -106,14 +107,14 @@ stateDigest(const TagePredictor& pred)
         for (uint32_t i = 0; i < entries; ++i) {
             const auto e = pred.taggedEntry(t, i);
             h = mix(h, static_cast<uint64_t>(
-                           static_cast<int64_t>(e.ctr.value())));
+                           static_cast<int64_t>(e.ctr)));
             h = mix(h, e.tag);
-            h = mix(h, e.u.value());
+            h = mix(h, e.u);
         }
     }
     const uint32_t bim_entries = uint32_t{1} << cfg.logBimodalEntries;
     for (uint32_t i = 0; i < bim_entries; ++i)
-        h = mix(h, pred.bimodalEntry(i).value());
+        h = mix(h, pred.bimodalEntry(i));
     h = mix(h, static_cast<uint64_t>(
                    static_cast<int64_t>(pred.useAltOnNa())));
     h = mix(h, pred.allocations());
@@ -327,6 +328,76 @@ someValidBlob()
     std::vector<uint8_t> blob;
     EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
     return blob;
+}
+
+/**
+ * @p state re-encoded with the i64 field that ends @p tail bytes
+ * before the end of the blob replaced by @p value.
+ */
+std::vector<uint8_t>
+withI64Field(const std::vector<uint8_t>& state, size_t tail,
+             int64_t value)
+{
+    const size_t at = state.size() - tail - 8;
+    StateWriter out;
+    out.bytes(state.data(), at);
+    out.i64(value);
+    out.bytes(state.data() + at + 8, tail);
+    return out.take();
+}
+
+TEST(CheckpointRestore, UseAltOnNaIsClampedBeforeItIsNarrowed)
+{
+    // TagePredictor::saveState ends with USE_ALT_ON_NA (i64), then the
+    // LFSR state and seed (2 x u16) and three u64 counters.
+    const size_t tail = 2 + 2 + 3 * 8;
+    const TageConfig cfg = TageConfig::small16K();
+    const int hi = (1 << (cfg.useAltOnNaBits - 1)) - 1;
+    const int lo = -(1 << (cfg.useAltOnNaBits - 1));
+    StateWriter fresh;
+    TagePredictor(cfg).saveState(fresh);
+
+    const std::pair<int64_t, int> cases[] = {
+        {100, hi},
+        {(int64_t{1} << 32) + 3, hi},
+        {-(int64_t{1} << 32) + 2, lo},
+        {-3, -3},
+    };
+    for (const auto& [stored, restored] : cases) {
+        const auto blob = withI64Field(fresh.data(), tail, stored);
+        TagePredictor pred(cfg);
+        StateReader in(blob);
+        std::string error;
+        ASSERT_TRUE(pred.loadState(in, error)) << error;
+        EXPECT_EQ(pred.useAltOnNa(), restored) << "stored " << stored;
+    }
+}
+
+TEST(CheckpointRestore, SinceBimMissIsClampedBeforeItIsNarrowed)
+{
+    // GradedTage::snapshot ends with the burst counter (i64), the
+    // sequence number (u64) and the last confidence level (u8).
+    const size_t tail = 8 + 1;
+    GradedTage graded(TageConfig::small16K());
+    StateWriter fresh;
+    std::string error;
+    ASSERT_TRUE(graded.snapshot(fresh, error)) << error;
+    const int window = graded.observer().window();
+
+    const std::pair<int64_t, int> cases[] = {
+        {int64_t{window} + 100, window},
+        {(int64_t{1} << 32) + 3, window},
+        {-(int64_t{1} << 32) + 2, 0},
+        {1, 1},
+    };
+    for (const auto& [stored, restored] : cases) {
+        const auto blob = withI64Field(fresh.data(), tail, stored);
+        GradedTage target(TageConfig::small16K());
+        StateReader in(blob);
+        ASSERT_TRUE(target.restore(in, error)) << error;
+        EXPECT_EQ(target.observer().sinceBimMiss(), restored)
+            << "stored " << stored;
+    }
 }
 
 TEST(CheckpointRejection, TruncatedBlobs)

@@ -25,7 +25,7 @@ totalUseful(const TagePredictor& pred)
             uint32_t{1} << cfg.tagged[static_cast<size_t>(t - 1)]
                                .logEntries;
         for (uint32_t i = 0; i < entries; ++i)
-            sum += pred.taggedEntry(t, i).u.value();
+            sum += pred.taggedEntry(t, i).u;
     }
     return sum;
 }

@@ -70,14 +70,14 @@ stateDigest(const TagePredictor& pred)
         for (uint32_t i = 0; i < entries; ++i) {
             const auto e = pred.taggedEntry(t, i);
             h = mix(h, static_cast<uint64_t>(
-                           static_cast<int64_t>(e.ctr.value())));
+                           static_cast<int64_t>(e.ctr)));
             h = mix(h, e.tag);
-            h = mix(h, e.u.value());
+            h = mix(h, e.u);
         }
     }
     const uint32_t bim_entries = uint32_t{1} << cfg.logBimodalEntries;
     for (uint32_t i = 0; i < bim_entries; ++i)
-        h = mix(h, pred.bimodalEntry(i).value());
+        h = mix(h, pred.bimodalEntry(i));
     h = mix(h, static_cast<uint64_t>(
                    static_cast<int64_t>(pred.useAltOnNa())));
     h = mix(h, pred.allocations());

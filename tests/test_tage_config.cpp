@@ -127,6 +127,23 @@ TEST(TageConfig, ValidationRejectsBadGeometry)
                 "counter width");
 }
 
+TEST(TageConfig, ValidationRejectsBadUseAltOnNaWidth)
+{
+    // USE_ALT_ON_NA is an int register of 1 to 15 bits.
+    for (const int bits : {0, 16}) {
+        TageConfig cfg = TageConfig::medium64K();
+        cfg.useAltOnNaBits = bits;
+        EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
+                    "TAGE config '64K': bad USE_ALT_ON_NA counter width")
+            << "bits=" << bits;
+    }
+    TageConfig cfg = TageConfig::medium64K();
+    cfg.useAltOnNaBits = 1;
+    cfg.validate(); // must not exit
+    cfg.useAltOnNaBits = 15;
+    cfg.validate();
+}
+
 TEST(TageConfig, PaperConfigsAreValid)
 {
     for (const auto& cfg : TageConfig::paperConfigs())

@@ -137,7 +137,7 @@ TEST(TagePredictor, AllocatedEntryStartsWeakCorrect)
                                .logEntries;
         for (uint32_t i = 0; i < entries; ++i) {
             const auto& e = pred.taggedEntry(t, i);
-            if (e.ctr.value() == -1 && e.u.value() == 0)
+            if (e.ctr == -1 && e.u == 0)
                 found_weak = true;
         }
     }
@@ -246,9 +246,9 @@ TEST(TagePredictor, ProbabilisticSaturationKeepsCountersUnsaturated)
                                .logEntries;
         for (uint32_t i = 0; i < entries; ++i) {
             const auto& e = pred.taggedEntry(t, i);
-            if (e.ctr.value() != 0) {
+            if (e.ctr != 0) {
                 ++occupied;
-                if (e.ctr.saturated())
+                if (packed::signedSaturated(e.ctr, cfg.taggedCtrBits))
                     ++saturated;
             }
         }
@@ -275,7 +275,8 @@ TEST(TagePredictor, BaselineAutomatonSaturatesQuickly)
             uint32_t{1} << cfg.tagged[static_cast<size_t>(t - 1)]
                                .logEntries;
         for (uint32_t i = 0; i < entries; ++i) {
-            if (pred.taggedEntry(t, i).ctr.saturated())
+            if (packed::signedSaturated(pred.taggedEntry(t, i).ctr,
+                                        cfg.taggedCtrBits))
                 ++saturated;
         }
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * tagecon_lint: run the repo's determinism & error-discipline rule
- * engine (src/lint/lint.hpp) over the source tree.
+ * engine (tools/lint/lint.hpp) over the source tree.
  *
  *   tagecon_lint --root=/path/to/repo
  *
