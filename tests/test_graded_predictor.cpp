@@ -214,22 +214,52 @@ TEST(GenericRunTrace, SpecSetRunMatchesHandBuiltSetRun)
 }
 
 /**
+ * Hash of a prediction stream: direction, class and level of each
+ * element, FNV-1a-64 over one byte per field.
+ */
+uint64_t
+predictionDigest(const std::vector<Prediction>& preds)
+{
+    std::vector<uint8_t> bytes;
+    bytes.reserve(preds.size() * 3);
+    for (const Prediction& p : preds) {
+        bytes.push_back(p.taken ? 1 : 0);
+        bytes.push_back(static_cast<uint8_t>(p.cls));
+        bytes.push_back(static_cast<uint8_t>(p.confidence));
+    }
+    return fnv1a64(bytes.data(), bytes.size());
+}
+
+/**
  * predictMany() is contractually bit-identical to the scalar
  * predict/update loop, for every family — batched (TAGE) or on the
  * base-class fallback — and at any chunking. The reference here is
- * the plain loop, written out locally.
+ * the plain loop, written out locally. After the run the reference is
+ * reset() and replayed: reset must restore post-construction state, so
+ * the replay reproduces the predictions and snapshot bytes. The
+ * prediction stream and the snapshot bytes are pinned by FNV-1a-64
+ * (snapshot 0: the stack does not checkpoint).
  */
 TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
 {
-    const char* const specs[] = {"tage16k+sfc",
-                                 "tage64k+prob7+sfc",
-                                 "tage64k+prob7+adaptive+sfc",
-                                 "ltage16k+sfc",
-                                 "tage64k+jrs",
-                                 "gshare+jrs",
-                                 "bimodal+sfc",
-                                 "perceptron+sfc",
-                                 "ogehl+sfc"};
+    struct Case {
+        const char* spec;
+        uint64_t predictions;
+        uint64_t snapshot;
+    };
+    const Case cases[] = {
+        {"tage16k+sfc", 0xe31e13d96b7d8ecdULL, 0x6d2a842e82299f36ULL},
+        {"tage64k+prob7+sfc", 0xee64169dc2ed1043ULL,
+         0x5ab9ebb37c6be008ULL},
+        {"tage64k+prob7+adaptive+sfc", 0xee64169dc2ed1043ULL,
+         0x6ba0963a2056eed9ULL},
+        {"ltage16k+sfc", 0x0b300d9a20154cc7ULL, 0},
+        {"tage64k+jrs", 0x12967ef35a64b250ULL, 0},
+        {"gshare+jrs", 0x5d20952f7869c45dULL, 0},
+        {"bimodal+sfc", 0xa719b087b5fa8b4fULL, 0x4f6a8e99441c3fc5ULL},
+        {"perceptron+sfc", 0xa2718a2293502c27ULL, 0xb699da4e51cefd3dULL},
+        {"ogehl+sfc", 0x54d5d318ae64782bULL, 0x79b4c88996c49258ULL},
+    };
 
     std::vector<uint64_t> pcs;
     std::vector<uint8_t> taken;
@@ -241,23 +271,32 @@ TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
     }
     const size_t n = pcs.size();
 
-    for (const char* spec : specs) {
-        SCOPED_TRACE(spec);
-        auto reference = makePredictor(spec);
-        std::vector<Prediction> expected;
-        expected.reserve(n);
-        for (size_t k = 0; k < n; ++k) {
-            expected.push_back(reference->predict(pcs[k]));
-            reference->update(pcs[k], expected.back(), taken[k] != 0);
-        }
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.spec);
+        auto reference = makePredictor(c.spec);
+        auto scalarRun = [&] {
+            std::vector<Prediction> preds;
+            preds.reserve(n);
+            for (size_t k = 0; k < n; ++k) {
+                preds.push_back(reference->predict(pcs[k]));
+                reference->update(pcs[k], preds.back(), taken[k] != 0);
+            }
+            return preds;
+        };
+        const std::vector<Prediction> expected = scalarRun();
         StateWriter reference_state;
         std::string error;
         const bool has_snapshot =
             reference->snapshot(reference_state, error);
+        EXPECT_EQ(predictionDigest(expected), c.predictions);
+        EXPECT_EQ(has_snapshot ? fnv1a64(reference_state.data().data(),
+                                         reference_state.size())
+                               : 0,
+                  c.snapshot);
 
         for (const size_t chunk : {size_t{1}, size_t{97}, size_t{512}}) {
             SCOPED_TRACE("chunk " + std::to_string(chunk));
-            auto batched = makePredictor(spec);
+            auto batched = makePredictor(c.spec);
             std::vector<Prediction> got(n);
             for (size_t at = 0; at < n; at += chunk) {
                 const size_t len = std::min(chunk, n - at);
@@ -281,6 +320,15 @@ TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
                 ASSERT_TRUE(batched->snapshot(state, error)) << error;
                 EXPECT_EQ(state.data(), reference_state.data());
             }
+        }
+
+        reference->reset();
+        const std::vector<Prediction> replay = scalarRun();
+        EXPECT_EQ(predictionDigest(replay), c.predictions);
+        if (has_snapshot) {
+            StateWriter state;
+            ASSERT_TRUE(reference->snapshot(state, error)) << error;
+            EXPECT_EQ(state.data(), reference_state.data());
         }
     }
 }
