@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "core/estimators.hpp"
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
 #include "tage/tage_config.hpp"

@@ -1,7 +1,10 @@
 #include "baseline/bimodal_predictor.hpp"
 
+#include <algorithm>
+
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
@@ -12,8 +15,8 @@ BimodalPredictor::BimodalPredictor(int log_entries, int ctr_bits)
         fatal("bimodal: bad table size");
     if (ctr_bits < 1 || ctr_bits > 8)
         fatal("bimodal: bad counter width");
-    table_.assign(size_t{1} << log_entries,
-                  static_cast<uint8_t>(1u << (ctr_bits - 1)));
+    table_.resize(size_t{1} << log_entries);
+    reset();
 }
 
 uint32_t
@@ -22,14 +25,16 @@ BimodalPredictor::indexFor(uint64_t pc) const
     return static_cast<uint32_t>(pc & maskBits(logEntries_));
 }
 
-bool
+Prediction
 BimodalPredictor::predict(uint64_t pc)
 {
-    return packed::unsignedTaken(table_[indexFor(pc)], ctrBits_);
+    const uint8_t ctr = table_[indexFor(pc)];
+    return binaryGraded(packed::unsignedTaken(ctr, ctrBits_),
+                        !packed::unsignedWeak(ctr, ctrBits_));
 }
 
 void
-BimodalPredictor::update(uint64_t pc, bool taken)
+BimodalPredictor::update(uint64_t pc, const Prediction& /*p*/, bool taken)
 {
     uint8_t& ctr = table_[indexFor(pc)];
     ctr = static_cast<uint8_t>(packed::unsignedUpdate(ctr, ctrBits_, taken));
@@ -41,10 +46,11 @@ BimodalPredictor::storageBits() const
     return (uint64_t{1} << logEntries_) * static_cast<uint64_t>(ctrBits_);
 }
 
-bool
-BimodalPredictor::highConfidence(uint64_t pc) const
+void
+BimodalPredictor::reset()
 {
-    return !packed::unsignedWeak(table_[indexFor(pc)], ctrBits_);
+    std::fill(table_.begin(), table_.end(),
+              static_cast<uint8_t>(1u << (ctrBits_ - 1)));
 }
 
 unsigned
@@ -53,30 +59,31 @@ BimodalPredictor::counterFor(uint64_t pc) const
     return table_[indexFor(pc)];
 }
 
-void
-BimodalPredictor::saveState(StateWriter& out) const
+bool
+BimodalPredictor::snapshot(StateWriter& out, std::string& /*error*/) const
 {
     out.u8(static_cast<uint8_t>(logEntries_));
     out.u8(static_cast<uint8_t>(ctrBits_));
     out.bytes(table_.data(), table_.size());
+    return true;
 }
 
 bool
-BimodalPredictor::loadState(StateReader& in, std::string& error)
+BimodalPredictor::restore(StateReader& in, std::string& error)
 {
+    auto fail = [&](const char* why) {
+        error = why;
+        reset();
+        return false;
+    };
     if (in.u8() != static_cast<uint8_t>(logEntries_) ||
         in.u8() != static_cast<uint8_t>(ctrBits_)) {
-        error = in.ok() ? "bimodal state was written with a different "
-                          "geometry"
-                        : "bimodal state is truncated";
-        return false;
+        return fail(in.ok() ? "bimodal state was written with a "
+                              "different geometry"
+                            : "bimodal state is truncated");
     }
-    std::vector<uint8_t> table(table_.size());
-    if (!in.bytes(table.data(), table.size())) {
-        error = "bimodal state is truncated";
-        return false;
-    }
-    table_ = std::move(table);
+    if (!in.bytes(table_.data(), table_.size()))
+        return fail("bimodal state is truncated");
     return true;
 }
 

@@ -11,14 +11,15 @@
 
 #include <vector>
 
-#include "baseline/predictor.hpp"
-#include "util/saturating_counter.hpp"
-#include "util/state_io.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
-/** Stand-alone bimodal predictor with Smith-style self-confidence. */
-class BimodalPredictor : public ConditionalPredictor
+/**
+ * Stand-alone bimodal predictor graded with Smith self-confidence: a
+ * weak counter is low confidence, any other high.
+ */
+class BimodalPredictor : public GradedPredictor
 {
   public:
     /**
@@ -27,28 +28,21 @@ class BimodalPredictor : public ConditionalPredictor
      */
     explicit BimodalPredictor(int log_entries, int ctr_bits = 2);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "bimodal"; }
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
     uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
 
-    /**
-     * Smith self-confidence for the branch at @p pc: high confidence
-     * iff the counter is not weak.
-     */
-    bool highConfidence(uint64_t pc) const;
+    /** Geometry fingerprint + counter table. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /** Raw value of the counter backing @p pc (tests / introspection). */
     unsigned counterFor(uint64_t pc) const;
 
-    /** Serialize geometry fingerprint + counter table. */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState() on an identical geometry.
-     * Returns false with the reason in @p error on mismatch/underrun.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "bimodal"; }
 
   private:
     uint32_t indexFor(uint64_t pc) const;

@@ -11,14 +11,17 @@
 
 #include <vector>
 
-#include "baseline/predictor.hpp"
-#include "util/saturating_counter.hpp"
-#include "util/state_io.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
-/** Classic gshare predictor. */
-class GsharePredictor : public ConditionalPredictor
+/**
+ * Classic gshare predictor. Confidence-blind: gshare has no intrinsic
+ * confidence signal, so every prediction is graded high and
+ * hasIntrinsicConfidence() is false — the registry rejects
+ * "gshare+sfc", and a storage-based estimator (JRS) must grade it.
+ */
+class GsharePredictor : public GradedPredictor
 {
   public:
     /**
@@ -31,25 +34,20 @@ class GsharePredictor : public ConditionalPredictor
      */
     GsharePredictor(int log_entries, int history_bits, int ctr_bits = 2);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "gshare"; }
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
     uint64_t storageBits() const override;
+    void reset() override;
 
-    /** Current global history register value. */
-    uint64_t history() const { return history_; }
+    /** Geometry fingerprint + counter table + history. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /** Index used for @p pc with the current history (tests). */
     uint32_t indexFor(uint64_t pc) const;
 
-    /** Serialize geometry fingerprint + counter table + history. */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState() on an identical geometry.
-     * Returns false with the reason in @p error on mismatch/underrun.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "gshare"; }
 
   private:
     /** Packed counters: one byte per entry, width held in ctrBits_. */

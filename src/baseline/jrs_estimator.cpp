@@ -1,16 +1,19 @@
 #include "baseline/jrs_estimator.hpp"
 
+#include <algorithm>
+
 #include "util/bit_utils.hpp"
 #include "util/logging.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
-JrsConfidenceEstimator::JrsConfidenceEstimator()
-    : JrsConfidenceEstimator(Config{})
+JrsEstimator::JrsEstimator()
+    : JrsEstimator(Config{})
 {
 }
 
-JrsConfidenceEstimator::JrsConfidenceEstimator(Config cfg)
+JrsEstimator::JrsEstimator(Config cfg)
     : cfg_(cfg)
 {
     if (cfg_.logEntries < 1 || cfg_.logEntries > 24)
@@ -21,11 +24,12 @@ JrsConfidenceEstimator::JrsConfidenceEstimator(Config cfg)
         fatal("JRS: threshold exceeds counter range");
     if (cfg_.historyBits < 1 || cfg_.historyBits > 32)
         fatal("JRS: bad history length");
-    table_.assign(size_t{1} << cfg_.logEntries, 0);
+    table_.resize(size_t{1} << cfg_.logEntries);
+    reset();
 }
 
 uint32_t
-JrsConfidenceEstimator::indexFor(uint64_t pc, bool predicted_taken) const
+JrsEstimator::indexFor(uint64_t pc, bool predicted_taken) const
 {
     uint64_t idx = pc ^ (history_ & maskBits(cfg_.historyBits));
     if (cfg_.indexWithPrediction)
@@ -33,37 +37,38 @@ JrsConfidenceEstimator::indexFor(uint64_t pc, bool predicted_taken) const
     return static_cast<uint32_t>(idx & maskBits(cfg_.logEntries));
 }
 
-bool
-JrsConfidenceEstimator::query(uint64_t pc, bool predicted_taken) const
+ConfidenceLevel
+JrsEstimator::grade(uint64_t pc, const Prediction& p)
 {
-    return table_[indexFor(pc, predicted_taken)] >= cfg_.threshold;
-}
-
-unsigned
-JrsConfidenceEstimator::counterValue(uint64_t pc,
-                                     bool predicted_taken) const
-{
-    return table_[indexFor(pc, predicted_taken)];
+    return table_[indexFor(pc, p.taken)] >= cfg_.threshold
+               ? ConfidenceLevel::High
+               : ConfidenceLevel::Low;
 }
 
 void
-JrsConfidenceEstimator::record(uint64_t pc, bool predicted_taken,
-                               bool correct, bool taken)
+JrsEstimator::onResolve(uint64_t pc, const Prediction& p, bool taken)
 {
-    uint16_t& ctr = table_[indexFor(pc, predicted_taken)];
+    uint16_t& ctr = table_[indexFor(pc, p.taken)];
     // Resetting counter: saturating increment when correct, zero on a
     // misprediction.
-    ctr = correct ? static_cast<uint16_t>(
-                        packed::unsignedInc(ctr, cfg_.ctrBits))
-                  : uint16_t{0};
+    ctr = p.taken == taken ? static_cast<uint16_t>(
+                                 packed::unsignedInc(ctr, cfg_.ctrBits))
+                           : uint16_t{0};
     history_ = (history_ << 1) | (taken ? 1 : 0);
 }
 
 uint64_t
-JrsConfidenceEstimator::storageBits() const
+JrsEstimator::storageBits() const
 {
     return (uint64_t{1} << cfg_.logEntries) *
            static_cast<uint64_t>(cfg_.ctrBits);
+}
+
+void
+JrsEstimator::reset()
+{
+    std::fill(table_.begin(), table_.end(), uint16_t{0});
+    history_ = 0;
 }
 
 } // namespace tagecon

@@ -16,16 +16,17 @@
 
 #include <vector>
 
-#include "util/saturating_counter.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
 /**
- * Storage-based confidence estimator attachable to any branch
- * predictor. The estimator keeps its own global-history register so it
- * is host-agnostic; drive it with query()/record() per branch.
+ * Storage-based confidence estimator attachable to any host predictor
+ * through EstimatedPredictor ("jrs", and "jrsg" for the
+ * prediction-indexed variant). It keeps its own global-history
+ * register, so it is host-agnostic.
  */
-class JrsConfidenceEstimator
+class JrsEstimator : public ConfidenceEstimator
 {
   public:
     struct Config {
@@ -50,32 +51,31 @@ class JrsConfidenceEstimator
     };
 
     /** Build with the classic 4-bit / threshold-15 configuration. */
-    JrsConfidenceEstimator();
+    JrsEstimator();
 
-    explicit JrsConfidenceEstimator(Config cfg);
-
-    /**
-     * Confidence of the upcoming prediction @p predicted_taken for the
-     * branch at @p pc under the current history.
-     * @retval true High confidence.
-     */
-    bool query(uint64_t pc, bool predicted_taken) const;
-
-    /** Raw counter value that query() consulted. */
-    unsigned counterValue(uint64_t pc, bool predicted_taken) const;
+    explicit JrsEstimator(Config cfg);
 
     /**
-     * Train with the resolved branch: increment on a correct
-     * prediction, reset on a misprediction, then advance the history.
+     * High confidence iff the counter for (@p pc, current history,
+     * and p.taken when prediction-indexed) is at the threshold.
      */
-    void record(uint64_t pc, bool predicted_taken, bool correct,
-                bool taken);
+    ConfidenceLevel grade(uint64_t pc, const Prediction& p) override;
 
-    /** Estimator storage cost in bits. */
-    uint64_t storageBits() const;
+    /**
+     * Increment the counter on a correct prediction, reset it on a
+     * misprediction, then advance the history.
+     */
+    void onResolve(uint64_t pc, const Prediction& p, bool taken) override;
 
-    /** The configuration in use. */
-    const Config& config() const { return cfg_; }
+    std::string
+    name() const override
+    {
+        return cfg_.indexWithPrediction ? "jrsg" : "jrs";
+    }
+
+    uint64_t storageBits() const override;
+
+    void reset() override;
 
   private:
     uint32_t indexFor(uint64_t pc, bool predicted_taken) const;

@@ -1,6 +1,8 @@
 #include "baseline/ogehl_predictor.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 
 #include "tage/tage_config.hpp"
 #include "util/bit_utils.hpp"
@@ -16,10 +18,7 @@ OgehlPredictor::OgehlPredictor()
 
 OgehlPredictor::OgehlPredictor(Config cfg)
     : cfg_(cfg),
-      history_(static_cast<size_t>(cfg.maxHistory) + 2),
-      theta_(cfg.initialTheta),
-      ctrMax_((1 << (cfg.ctrBits - 1)) - 1),
-      ctrMin_(-(1 << (cfg.ctrBits - 1)))
+      history_(static_cast<size_t>(cfg.maxHistory) + 2)
 {
     if (cfg_.numTables < 2 || cfg_.numTables > 16)
         fatal("O-GEHL: bad table count");
@@ -30,9 +29,8 @@ OgehlPredictor::OgehlPredictor(Config cfg)
     if (cfg_.minHistory < 1 || cfg_.maxHistory < cfg_.minHistory)
         fatal("O-GEHL: bad history bounds");
 
-    tables_.assign(static_cast<size_t>(cfg_.numTables)
-                       << cfg_.logEntries,
-                   0);
+    tables_.resize(static_cast<size_t>(cfg_.numTables)
+                   << cfg_.logEntries);
 
     // Geometric history series for tables 1..M-1; table 0 is
     // PC-indexed (history length 0).
@@ -43,6 +41,7 @@ OgehlPredictor::OgehlPredictor(Config cfg)
         folds_[static_cast<size_t>(t)] = FoldedHistory(
             lengths[static_cast<size_t>(t - 1)], cfg_.logEntries);
     }
+    reset();
 }
 
 uint32_t
@@ -70,16 +69,15 @@ OgehlPredictor::computeSum(uint64_t pc) const
     return sum;
 }
 
-bool
+Prediction
 OgehlPredictor::predict(uint64_t pc)
 {
-    lastSum_ = computeSum(pc);
-    lastAbsSum_ = std::abs(lastSum_);
-    return lastSum_ >= 0;
+    const int sum = computeSum(pc);
+    return binaryGraded(sum >= 0, std::abs(sum) >= theta_);
 }
 
 void
-OgehlPredictor::update(uint64_t pc, bool taken)
+OgehlPredictor::update(uint64_t pc, const Prediction& /*p*/, bool taken)
 {
     const int sum = computeSum(pc);
     const bool predicted = sum >= 0;
@@ -130,9 +128,20 @@ OgehlPredictor::storageBits() const
 }
 
 void
-OgehlPredictor::saveState(StateWriter& out) const
+OgehlPredictor::reset()
 {
-    // Geometry fingerprint: everything loadState() must agree on for
+    std::fill(tables_.begin(), tables_.end(), int8_t{0});
+    history_.clear();
+    for (FoldedHistory& fold : folds_)
+        fold.clear();
+    theta_ = cfg_.initialTheta;
+    thresholdCounter_ = 0;
+}
+
+bool
+OgehlPredictor::snapshot(StateWriter& out, std::string& /*error*/) const
+{
+    // Geometry fingerprint: everything restore() must agree on for
     // the arena size, hash functions and threshold dynamics to line
     // up.
     out.u8(static_cast<uint8_t>(cfg_.numTables));
@@ -160,11 +169,17 @@ OgehlPredictor::saveState(StateWriter& out) const
 
     out.i64(theta_);
     out.i64(thresholdCounter_);
+    return true;
 }
 
 bool
-OgehlPredictor::loadState(StateReader& in, std::string& error)
+OgehlPredictor::restore(StateReader& in, std::string& error)
 {
+    auto fail = [&](const char* why) {
+        error = why;
+        reset();
+        return false;
+    };
     const bool geometry_ok =
         in.u8() == static_cast<uint8_t>(cfg_.numTables) &&
         in.u8() == static_cast<uint8_t>(cfg_.logEntries) &&
@@ -174,51 +189,42 @@ OgehlPredictor::loadState(StateReader& in, std::string& error)
         in.u32() == static_cast<uint32_t>(cfg_.initialTheta) &&
         in.u8() == static_cast<uint8_t>(cfg_.thresholdCtrBits);
     if (!in.ok() || !geometry_ok) {
-        error = in.ok() ? "O-GEHL state was written by a predictor "
-                          "with a different geometry"
-                        : "O-GEHL state is truncated";
-        return false;
+        return fail(in.ok() ? "O-GEHL state was written by a predictor "
+                              "with a different geometry"
+                            : "O-GEHL state is truncated");
     }
 
-    // Decode everything before committing so a truncated blob leaves
-    // the predictor untouched.
-    std::vector<int8_t> tables(tables_.size());
-    in.bytes(reinterpret_cast<uint8_t*>(tables.data()), tables.size());
+    in.bytes(reinterpret_cast<uint8_t*>(tables_.data()), tables_.size());
 
     const size_t outcomes = history_.capacity() + 1;
     if (in.u32() != static_cast<uint32_t>(outcomes)) {
-        error = in.ok() ? "O-GEHL state carries a history ring of a "
-                          "different capacity"
-                        : "O-GEHL state is truncated";
-        return false;
+        return fail(in.ok() ? "O-GEHL state carries a history ring of a "
+                              "different capacity"
+                            : "O-GEHL state is truncated");
     }
-    std::vector<uint8_t> ring(outcomes, 0);
+    // The blob lists the oldest outcome first; pushing oldest-first
+    // into the cleared ring rebuilds every head-relative index.
+    history_.clear();
     in.packedBits(outcomes,
-                  [&](size_t i, bool bit) { ring[i] = bit ? 1 : 0; });
-    std::vector<uint32_t> fold_state(
-        static_cast<size_t>(cfg_.numTables), 0);
+                  [&](size_t, bool bit) { history_.push(bit); });
     for (int t = 1; t < cfg_.numTables; ++t)
-        fold_state[static_cast<size_t>(t)] = in.u32();
+        folds_[static_cast<size_t>(t)].restore(in.u32());
+
+    // Range-check in 64 bits before narrowing: a blob carrying 2^32+3
+    // must not restore as 3.
     const int64_t theta = in.i64();
     const int64_t threshold_counter = in.i64();
-    if (!in.ok()) {
-        error = "O-GEHL state is truncated";
-        return false;
+    if (!in.ok())
+        return fail("O-GEHL state is truncated");
+    if (theta < 1 || theta > std::numeric_limits<int>::max())
+        return fail("O-GEHL state carries an out-of-range theta");
+    const int64_t tc_half = int64_t{1} << (cfg_.thresholdCtrBits - 1);
+    if (threshold_counter < -tc_half || threshold_counter >= tc_half) {
+        return fail("O-GEHL state carries an out-of-range threshold "
+                    "counter");
     }
-
-    tables_ = std::move(tables);
-    // ring[0] is the oldest outcome; pushing oldest-first rebuilds
-    // every head-relative index.
-    history_.clear();
-    for (const uint8_t bit : ring)
-        history_.push(bit != 0);
-    for (int t = 1; t < cfg_.numTables; ++t)
-        folds_[static_cast<size_t>(t)].restore(
-            fold_state[static_cast<size_t>(t)]);
     theta_ = static_cast<int>(theta);
     thresholdCounter_ = static_cast<int>(threshold_counter);
-    lastSum_ = 0;
-    lastAbsSum_ = 0;
     return true;
 }
 

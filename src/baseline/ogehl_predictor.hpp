@@ -17,9 +17,8 @@
 #include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
+#include "core/graded_predictor.hpp"
 #include "util/global_history.hpp"
-#include "util/state_io.hpp"
 
 namespace tagecon {
 
@@ -27,9 +26,10 @@ namespace tagecon {
  * GEometric History Length predictor with adder tree and adaptive
  * update threshold. Tables of signed counters are indexed with
  * geometrically increasing history lengths; the prediction is the
- * sign of the counter sum.
+ * sign of the counter sum, graded with the |sum| >= theta
+ * self-confidence (the Sec. 2.2 reference point).
  */
-class OgehlPredictor : public ConditionalPredictor
+class OgehlPredictor : public GradedPredictor
 {
   public:
     struct Config {
@@ -58,40 +58,30 @@ class OgehlPredictor : public ConditionalPredictor
     OgehlPredictor();
     explicit OgehlPredictor(Config cfg);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "ogehl"; }
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
     uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
 
     /**
-     * Self-confidence of the last predict(): high iff |sum| >= theta
-     * (the storage-free scheme of Sec. 2.2).
+     * The architectural state — counter arena, history ring, fold
+     * registers, adaptive threshold — behind a geometry fingerprint.
      */
-    bool lastHighConfidence() const { return lastAbsSum_ >= theta_; }
+    bool snapshot(StateWriter& out, std::string& error) const override;
 
-    /** Prediction sum of the last predict(). */
-    int lastSum() const { return lastSum_; }
+    /**
+     * Also rejects a theta outside [1, INT_MAX] and a threshold
+     * counter outside its thresholdCtrBits range, which update() can
+     * never produce.
+     */
+    bool restore(StateReader& in, std::string& error) override;
 
     /** Current (adaptive) update threshold. */
     int theta() const { return theta_; }
 
-    /** The configuration in use. */
-    const Config& config() const { return cfg_; }
-
-    /**
-     * Serialize the architectural state — counter arena, history ring,
-     * fold registers, adaptive threshold — behind a geometry
-     * fingerprint. The last-sum introspection values are
-     * predict-transient and not part of the state.
-     */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState(). Returns false with the
-     * reason in @p error (leaving the predictor untouched) on
-     * truncation or geometry mismatch.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "ogehl"; }
 
   private:
     uint32_t indexFor(uint64_t pc, int table) const;
@@ -109,11 +99,7 @@ class OgehlPredictor : public ConditionalPredictor
     std::vector<FoldedHistory> folds_; // [table], table 0 unused
 
     int theta_;
-    int thresholdCounter_ = 0; // saturating, drives theta adaptation
-    int lastSum_ = 0;
-    int lastAbsSum_ = 0;
-    int ctrMax_;
-    int ctrMin_;
+    int thresholdCounter_; // saturating, drives theta adaptation
 };
 
 } // namespace tagecon

@@ -14,13 +14,15 @@
 #include <string>
 #include <vector>
 
-#include "baseline/predictor.hpp"
-#include "util/state_io.hpp"
+#include "core/graded_predictor.hpp"
 
 namespace tagecon {
 
-/** Global-history perceptron predictor with self-confidence. */
-class PerceptronPredictor : public ConditionalPredictor
+/**
+ * Global-history perceptron predictor graded with its |sum| >= theta
+ * self-confidence.
+ */
+class PerceptronPredictor : public GradedPredictor
 {
   public:
     /**
@@ -30,36 +32,21 @@ class PerceptronPredictor : public ConditionalPredictor
      */
     PerceptronPredictor(int log_perceptrons, int history_bits);
 
-    bool predict(uint64_t pc) override;
-    void update(uint64_t pc, bool taken) override;
-    std::string name() const override { return "perceptron"; }
+    Prediction predict(uint64_t pc) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
     uint64_t storageBits() const override;
+    void reset() override;
+    bool hasIntrinsicConfidence() const override { return true; }
 
-    /**
-     * Self-confidence of the last predict(): high when |sum| is above
-     * the training threshold theta.
-     */
-    bool lastHighConfidence() const { return lastAbsSum_ >= theta_; }
-
-    /** Output sum of the last predict() (introspection). */
-    int lastSum() const { return lastSum_; }
+    /** Geometry fingerprint + weight arena + history. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
 
     /** Training threshold theta = floor(1.93 * h + 14). */
     int theta() const { return theta_; }
 
-    /**
-     * Serialize the architectural state (weight arena + history)
-     * behind a geometry fingerprint. The last-sum introspection values
-     * are predict-transient and not part of the state.
-     */
-    void saveState(StateWriter& out) const;
-
-    /**
-     * Restore state written by saveState(). Returns false with the
-     * reason in @p error (leaving the predictor untouched) on
-     * truncation or geometry mismatch.
-     */
-    bool loadState(StateReader& in, std::string& error);
+  protected:
+    std::string defaultName() const override { return "perceptron"; }
 
   private:
     uint32_t indexFor(uint64_t pc) const;
@@ -76,8 +63,6 @@ class PerceptronPredictor : public ConditionalPredictor
     int logPerceptrons_;
     int historyBits_;
     int theta_;
-    int lastSum_ = 0;
-    int lastAbsSum_ = 0;
 };
 
 } // namespace tagecon

@@ -14,8 +14,10 @@
  *
  * Concrete predictors live next to their families:
  *  - tage/graded_tage.hpp        TAGE and L-TAGE (storage-free classes)
- *  - baseline/graded_baselines.hpp  gshare, bimodal, perceptron, O-GEHL
- *  - core/estimators.hpp         the ConfidenceEstimator family
+ *  - baseline/<family>_predictor.hpp  gshare, bimodal, perceptron,
+ *                                O-GEHL (self-confidence grades)
+ *  - core/estimators.hpp         the stateless estimators (sfc, blind)
+ *  - baseline/jrs_estimator.hpp  the storage-based JRS estimator
  * and are usually constructed through the string-spec registry
  * (sim/registry.hpp): makePredictor("tage64k+prob7+sfc").
  */
@@ -61,6 +63,20 @@ struct Prediction {
      */
     uint64_t payload = 0;
 };
+
+/**
+ * A prediction with a two-way grade: High or Low, with the matching
+ * representative class. The grade of every self-confident baseline.
+ */
+inline Prediction
+binaryGraded(bool taken, bool high)
+{
+    Prediction p;
+    p.taken = taken;
+    p.confidence = high ? ConfidenceLevel::High : ConfidenceLevel::Low;
+    p.cls = representativeClass(p.confidence);
+    return p;
+}
 
 /**
  * A conditional branch predictor whose predictions are graded with

@@ -130,8 +130,6 @@ struct Registry {
     Mutex mutex;
     std::map<std::string, std::unique_ptr<Counter>> counters
         TAGECON_GUARDED_BY(mutex);
-    std::map<std::string, std::unique_ptr<Gauge>> gauges
-        TAGECON_GUARDED_BY(mutex);
     std::map<std::string, std::unique_ptr<TimingHistogram>> timings
         TAGECON_GUARDED_BY(mutex);
 };
@@ -157,17 +155,6 @@ counter(const std::string& name)
     return *slot;
 }
 
-Gauge&
-gauge(const std::string& name)
-{
-    Registry& r = registry();
-    MutexLock lock(r.mutex);
-    auto& slot = r.gauges[name];
-    if (!slot)
-        slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 TimingHistogram&
 timingHistogram(const std::string& name,
                 const std::vector<uint64_t>* bounds)
@@ -188,8 +175,6 @@ resetAllMetrics()
     MutexLock lock(r.mutex);
     for (auto& [name, c] : r.counters)
         c->reset();
-    for (auto& [name, g] : r.gauges)
-        g->reset();
     for (auto& [name, h] : r.timings)
         h->reset();
 }
@@ -200,17 +185,10 @@ snapshotMetrics()
     MetricsSnapshot out;
     Registry& r = registry();
     MutexLock lock(r.mutex);
-    out.scalars.reserve(r.counters.size() + r.gauges.size());
+    out.scalars.reserve(r.counters.size());
     for (const auto& [name, c] : r.counters)
-        out.scalars.push_back(ScalarSample{
-            name, static_cast<int64_t>(c->value()), false});
-    for (const auto& [name, g] : r.gauges)
-        out.scalars.push_back(ScalarSample{name, g->value(), true});
-    // Counters and gauges interleave into one sorted scalar section.
-    std::sort(out.scalars.begin(), out.scalars.end(),
-              [](const ScalarSample& a, const ScalarSample& b) {
-                  return a.name < b.name;
-              });
+        out.scalars.push_back(
+            ScalarSample{name, static_cast<int64_t>(c->value())});
     out.timings.reserve(r.timings.size());
     for (const auto& [name, h] : r.timings) {
         TimingSample s;

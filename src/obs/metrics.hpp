@@ -1,13 +1,13 @@
 /**
  * @file
- * MetricsRegistry: named counters, gauges and fixed-bucket timing
- * histograms for the serving / sweep / checkpoint paths — the repo's
+ * MetricsRegistry: named counters and fixed-bucket timing histograms
+ * for the serving / sweep / checkpoint paths — the repo's
  * observability layer.
  *
  * The registry enforces a hard split the rest of the codebase's
  * determinism contract depends on:
  *
- *  - **Deterministic metrics** (Counter, Gauge): pure functions of the
+ *  - **Deterministic metrics** (Counter): pure functions of the
  *    workload configuration — predictions served, allocations,
  *    quarantines, retries, pool admissions, checkpoint bytes, sweep
  *    cache hits. Integer sums are order-independent, so their values are
@@ -26,7 +26,7 @@
  * collection disabled — the default — that load is the entire
  * overhead, pinned by BM_MetricsDisabled* in bench_micro_predictor
  * and committed in BENCH_obs.json. Metric objects are never erased,
- * so handles from counter()/gauge()/timingHistogram() stay valid for
+ * so handles from counter()/timingHistogram() stay valid for
  * the process lifetime and hot paths can cache them in local statics.
  */
 
@@ -78,30 +78,6 @@ class Counter
 
   private:
     std::atomic<uint64_t> value_{0};
-};
-
-/**
- * Last-written value. set() is last-write-wins, so a gauge is only
- * deterministic when it is written from one place with a deterministic
- * value (configuration knobs, end-of-run totals) — the only uses the
- * instrumentation layer makes of it.
- */
-class Gauge
-{
-  public:
-    void
-    set(int64_t v)
-    {
-        if (metricsEnabled())
-            value_.store(v, std::memory_order_relaxed);
-    }
-
-    int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
-    void reset() { value_.store(0, std::memory_order_relaxed); }
-
-  private:
-    std::atomic<int64_t> value_{0};
 };
 
 /**
@@ -171,9 +147,6 @@ const std::vector<uint64_t>& defaultTimingBoundsNs();
  */
 Counter& counter(const std::string& name);
 
-/** Like counter(), for gauges. */
-Gauge& gauge(const std::string& name);
-
 /**
  * Like counter(), for timing histograms with the default nanosecond
  * buckets. A second lookup of the same name returns the same
@@ -188,11 +161,10 @@ void resetAllMetrics();
 
 // ------------------------------------------------------------ snapshot
 
-/** Point-in-time sample of one counter or gauge. */
+/** Point-in-time sample of one counter. */
 struct ScalarSample {
     std::string name;
     int64_t value = 0;
-    bool isGauge = false;
 };
 
 /** Point-in-time sample of one timing histogram. */
@@ -209,7 +181,7 @@ struct TimingSample {
 
 /**
  * Everything the registry holds, names sorted: the deterministic
- * scalars (counters + gauges) and the timing histograms, separated so
+ * scalars (counters) and the timing histograms, separated so
  * exporters cannot accidentally mix a clock reading into a
  * byte-diffed section.
  */

@@ -65,8 +65,7 @@ writePrometheusText(const MetricsSnapshot& snap, std::ostream& os)
     os << "# --- deterministic ---\n";
     for (const auto& s : snap.scalars) {
         const std::string name = prometheusName(s.name);
-        os << "# TYPE " << name << (s.isGauge ? " gauge" : " counter")
-           << "\n";
+        os << "# TYPE " << name << " counter\n";
         os << name << " " << s.value << "\n";
     }
     os << "# --- timing (non-deterministic) ---\n";

@@ -11,7 +11,7 @@
  *
  *  - writePrometheusText(): a Prometheus-style text dump for
  *    `--metrics-out=`. The document is split by marker comments into a
- *    `# --- deterministic ---` section (counters + gauges, sorted,
+ *    `# --- deterministic ---` section (counters, sorted,
  *    byte-identical at any --jobs for a fixed workload configuration —
  *    the section CI diffs j4-vs-j1) and a
  *    `# --- timing (non-deterministic) ---` section (histograms with

@@ -43,11 +43,21 @@ ckptMetrics()
     return *m;
 }
 
+/** Close @p f (when non-null), ignoring errors; for cleanup paths. */
+void
+closeQuiet(std::FILE* f)
+{
+    if (f)
+        std::fclose(f);
+}
+
+} // namespace
+
 Err
-encodeCheckpoint(const GradedPredictor& predictor,
-                 const std::string& spec, Checkpoint::Kind kind,
-                 uint64_t stream_id, const std::string& trace,
-                 uint64_t consumed, std::vector<uint8_t>& out)
+encodeStreamCheckpoint(const GradedPredictor& predictor,
+                       const std::string& spec, uint64_t stream_id,
+                       const std::string& trace, uint64_t consumed,
+                       std::vector<uint8_t>& out)
 {
     if (failpoints::anyArmed()) {
         if (auto injected = failpoints::check("ckpt.encode"))
@@ -61,48 +71,17 @@ encodeCheckpoint(const GradedPredictor& predictor,
     StateWriter w;
     w.u32(kCheckpointMagic);
     w.u32(kCheckpointVersion);
-    w.u32(static_cast<uint32_t>(kind));
+    w.u32(kCheckpointKind);
     w.str(spec);
-    if (kind == Checkpoint::Kind::Stream) {
-        w.u64(stream_id);
-        w.str(trace);
-        w.u64(consumed);
-    }
+    w.u64(stream_id);
+    w.str(trace);
+    w.u64(consumed);
     w.u64(payload.size());
     w.bytes(payload.data().data(), payload.size());
     w.u64(fnv1a64(w.data().data(), w.size()));
     out = w.take();
     ckptMetrics().encodes.add();
     return {};
-}
-
-/** Close @p f (when non-null), ignoring errors; for cleanup paths. */
-void
-closeQuiet(std::FILE* f)
-{
-    if (f)
-        std::fclose(f);
-}
-
-} // namespace
-
-Err
-encodePredictorCheckpoint(const GradedPredictor& predictor,
-                          const std::string& spec,
-                          std::vector<uint8_t>& out)
-{
-    return encodeCheckpoint(predictor, spec, Checkpoint::Kind::Predictor,
-                            0, "", 0, out);
-}
-
-Err
-encodeStreamCheckpoint(const GradedPredictor& predictor,
-                       const std::string& spec, uint64_t stream_id,
-                       const std::string& trace, uint64_t consumed,
-                       std::vector<uint8_t>& out)
-{
-    return encodeCheckpoint(predictor, spec, Checkpoint::Kind::Stream,
-                            stream_id, trace, consumed, out);
 }
 
 Err
@@ -142,21 +121,14 @@ decodeCheckpoint(const uint8_t* data, size_t size, Checkpoint& out)
                        std::to_string(kCheckpointVersion) + ")");
     }
     const uint32_t kind = in.u32();
-    if (kind != static_cast<uint32_t>(Checkpoint::Kind::Predictor) &&
-        kind != static_cast<uint32_t>(Checkpoint::Kind::Stream)) {
+    if (kind != kCheckpointKind) {
         return Err(ErrCode::Corrupt, kSite,
                    "unknown checkpoint kind " + std::to_string(kind));
     }
-    out.kind = static_cast<Checkpoint::Kind>(kind);
     out.spec = in.str();
-    out.streamId = 0;
-    out.trace.clear();
-    out.consumed = 0;
-    if (out.kind == Checkpoint::Kind::Stream) {
-        out.streamId = in.u64();
-        out.trace = in.str();
-        out.consumed = in.u64();
-    }
+    out.streamId = in.u64();
+    out.trace = in.str();
+    out.consumed = in.u64();
     const uint64_t payload_size = in.u64();
     if (!in.ok() || payload_size != in.remaining())
         return Err(ErrCode::Corrupt, kSite,

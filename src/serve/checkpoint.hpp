@@ -4,13 +4,13 @@
  * serving engine uses to checkpoint, digest and resume predictor
  * state.
  *
- * A blob is a header (magic, format version, kind, the canonical
- * registry spec the state was written with), an opaque payload (the
- * predictor's GradedPredictor::snapshot() bytes) and a trailing
- * FNV-1a-64 digest over everything before it. Stream checkpoints
- * (Kind::Stream) additionally carry the serving position — stream id,
- * trace spec and records consumed — so a multi-stream serve can be
- * stopped and resumed bit-identically.
+ * A blob is a header (magic, format version, the kind word
+ * kCheckpointKind, the canonical registry spec the state was written
+ * with, and the serving position: stream id, trace spec and records
+ * consumed), an opaque payload (the predictor's
+ * GradedPredictor::snapshot() bytes) and a trailing FNV-1a-64 digest
+ * over everything before it, so a multi-stream serve can be stopped
+ * and resumed bit-identically.
  *
  * Decoding is strict: bad magic, unknown version, digest mismatch,
  * truncation and payload-size disagreement are all distinct, reported
@@ -51,26 +51,25 @@ inline constexpr uint32_t kCheckpointMagic = 0x504B4354u;
  */
 inline constexpr uint32_t kCheckpointVersion = 2;
 
+/**
+ * The header's kind word. Every blob is a stream checkpoint; the word
+ * keeps the value 2 it had when a bare-predictor kind 1 also existed,
+ * so blobs and their digests are unchanged. Readers reject any other.
+ */
+inline constexpr uint32_t kCheckpointKind = 2;
+
 /** Decoded form of one checkpoint blob. */
 struct Checkpoint {
-    /** What the blob checkpoints. */
-    enum class Kind : uint32_t {
-        Predictor = 1, ///< bare predictor state
-        Stream = 2,    ///< predictor state + serving position
-    };
-
-    Kind kind = Kind::Predictor;
-
     /** Canonical registry spec the payload was written with. */
     std::string spec;
 
-    /** Serving stream id (Kind::Stream only). */
+    /** Serving stream id. */
     uint64_t streamId = 0;
 
-    /** Trace spec the stream was serving (Kind::Stream only). */
+    /** Trace spec the stream was serving. */
     std::string trace;
 
-    /** Trace records already served (Kind::Stream only). */
+    /** Trace records already served. */
     uint64_t consumed = 0;
 
     /** The predictor's snapshot() bytes. */
@@ -78,19 +77,11 @@ struct Checkpoint {
 };
 
 /**
- * Snapshot @p predictor into a Kind::Predictor blob tagged with
- * @p spec (the canonical registry spec it was built from). Fails
+ * Snapshot @p predictor into a blob tagged with @p spec (the canonical
+ * registry spec it was built from) and carrying the serving position
+ * (@p stream_id, @p trace, @p consumed records served). Fails
  * (Unsupported) when the predictor family does not support
  * checkpointing. Failpoint site "ckpt.encode".
- */
-Err encodePredictorCheckpoint(const GradedPredictor& predictor,
-                              const std::string& spec,
-                              std::vector<uint8_t>& out);
-
-/**
- * Snapshot @p predictor into a Kind::Stream blob carrying the serving
- * position (@p stream_id, @p trace, @p consumed records served).
- * Failpoint site "ckpt.encode".
  */
 Err encodeStreamCheckpoint(const GradedPredictor& predictor,
                            const std::string& spec, uint64_t stream_id,

@@ -190,8 +190,7 @@ admitStream(ServeShared& sh, StreamState& st)
     Checkpoint ck;
     if (Err e = decodeCheckpoint(blob, ck); e.failed())
         return e;
-    if (ck.kind != Checkpoint::Kind::Stream ||
-        ck.streamId != st.desc->id || ck.trace != st.desc->trace) {
+    if (ck.streamId != st.desc->id || ck.trace != st.desc->trace) {
         return Err(ErrCode::Mismatch, "ckpt.decode",
                    "checkpoint '" + path +
                        "' belongs to a different stream");

@@ -101,7 +101,7 @@ struct ServeOptions {
 
     /**
      * When non-empty, write each finished stream's state as
-     * "<dir>/stream-<id>.tcsp" (Kind::Stream checkpoint blob).
+     * "<dir>/stream-<id>.tcsp" (a serve/checkpoint.hpp blob).
      */
     std::string checkpointDir;
 

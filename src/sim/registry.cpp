@@ -6,7 +6,11 @@
 #include <map>
 #include <sstream>
 
-#include "baseline/graded_baselines.hpp"
+#include "baseline/bimodal_predictor.hpp"
+#include "baseline/gshare_predictor.hpp"
+#include "baseline/jrs_estimator.hpp"
+#include "baseline/ogehl_predictor.hpp"
+#include "baseline/perceptron_predictor.hpp"
 #include "core/estimators.hpp"
 #include "sim/spec_params.hpp"
 #include "tage/graded_tage.hpp"
@@ -224,7 +228,7 @@ baseRegistry()
             const int hist =
                 static_cast<int>(p.getInt("hist", 15, 1, 64));
             const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<GradedGshare>(entries, hist, ctr);
+            return std::make_unique<GsharePredictor>(entries, hist, ctr);
         };
         r["bimodal"] = [](const SpecParams& p, const SpecModifiers& m,
                           std::string& e)
@@ -234,7 +238,7 @@ baseRegistry()
             const int entries =
                 static_cast<int>(p.getInt("entries", 15, 1, 24));
             const int ctr = static_cast<int>(p.getInt("ctr", 2, 1, 8));
-            return std::make_unique<GradedBimodal>(entries, ctr);
+            return std::make_unique<BimodalPredictor>(entries, ctr);
         };
         r["perceptron"] = [](const SpecParams& p,
                              const SpecModifiers& m, std::string& e)
@@ -245,8 +249,8 @@ baseRegistry()
                 static_cast<int>(p.getInt("perceptrons", 9, 1, 20));
             const int hist =
                 static_cast<int>(p.getInt("hist", 32, 1, 64));
-            return std::make_unique<GradedPerceptron>(perceptrons,
-                                                      hist);
+            return std::make_unique<PerceptronPredictor>(perceptrons,
+                                                         hist);
         };
         r["ogehl"] = [](const SpecParams& p, const SpecModifiers& m,
                         std::string& e)
@@ -281,7 +285,7 @@ baseRegistry()
                     std::to_string(cfg.minHistory);
                 return nullptr;
             }
-            return std::make_unique<GradedOgehl>(cfg);
+            return std::make_unique<OgehlPredictor>(cfg);
         };
         return r;
     }();
@@ -404,7 +408,7 @@ makeEstimator(const std::string& token)
     if (token == "jrs")
         return std::make_unique<JrsEstimator>();
     if (token == "jrsg") {
-        JrsConfidenceEstimator::Config cfg;
+        JrsEstimator::Config cfg;
         cfg.indexWithPrediction = true;
         return std::make_unique<JrsEstimator>(cfg);
     }

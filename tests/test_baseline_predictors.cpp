@@ -11,19 +11,38 @@
 #include "baseline/jrs_estimator.hpp"
 #include "baseline/perceptron_predictor.hpp"
 #include "util/random.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 namespace {
+
+/** One predict/update pair resolved @p taken; returns the prediction. */
+Prediction
+step(GradedPredictor& p, uint64_t pc, bool taken)
+{
+    const Prediction pred = p.predict(pc);
+    p.update(pc, pred, taken);
+    return pred;
+}
+
+/** A prediction of direction @p taken, as a host hands it to JRS. */
+Prediction
+predicted(bool taken)
+{
+    Prediction p;
+    p.taken = taken;
+    return p;
+}
 
 TEST(Bimodal, LearnsBias)
 {
     BimodalPredictor p(10);
     for (int i = 0; i < 10; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        step(p, 0x40, true);
+    EXPECT_TRUE(p.predict(0x40).taken);
     for (int i = 0; i < 10; ++i)
-        p.update(0x80, false);
-    EXPECT_FALSE(p.predict(0x80));
+        step(p, 0x80, false);
+    EXPECT_FALSE(p.predict(0x80).taken);
 }
 
 TEST(Bimodal, CannotLearnAlternation)
@@ -32,9 +51,8 @@ TEST(Bimodal, CannotLearnAlternation)
     int misses = 0;
     for (int i = 0; i < 1000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 100)
+        if (step(p, 0x40, taken).taken != taken && i > 100)
             ++misses;
-        p.update(0x40, taken);
     }
     // A 2-bit counter mispredicts alternation about half the time.
     EXPECT_GT(misses, 300);
@@ -44,10 +62,10 @@ TEST(Bimodal, SmithSelfConfidence)
 {
     BimodalPredictor p(10);
     // Fresh counter is weak -> low confidence.
-    EXPECT_FALSE(p.highConfidence(0x40));
+    EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::Low);
     for (int i = 0; i < 4; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.highConfidence(0x40));
+        step(p, 0x40, true);
+    EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::High);
     EXPECT_EQ(p.counterFor(0x40), packed::unsignedMax(2)); // saturated
 }
 
@@ -61,8 +79,8 @@ TEST(Bimodal, AliasingSharesCounters)
 {
     BimodalPredictor p(4); // 16 entries: 0x10 aliases with 0x00... etc.
     for (int i = 0; i < 8; ++i)
-        p.update(0x0, true);
-    EXPECT_TRUE(p.predict(0x10)); // same entry
+        step(p, 0x0, true);
+    EXPECT_TRUE(p.predict(0x10).taken); // same entry
 }
 
 TEST(Gshare, LearnsAlternationThroughHistory)
@@ -71,9 +89,8 @@ TEST(Gshare, LearnsAlternationThroughHistory)
     int late_misses = 0;
     for (int i = 0; i < 2000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 1000)
+        if (step(p, 0x40, taken).taken != taken && i > 1000)
             ++late_misses;
-        p.update(0x40, taken);
     }
     EXPECT_EQ(late_misses, 0);
 }
@@ -82,7 +99,7 @@ TEST(Gshare, HistoryChangesIndex)
 {
     GsharePredictor p(12, 8);
     const uint32_t idx0 = p.indexFor(0x40);
-    p.update(0x40, true); // shifts a 1 into the history
+    step(p, 0x40, true); // shifts a 1 into the history
     EXPECT_NE(p.indexFor(0x40), idx0);
 }
 
@@ -93,85 +110,112 @@ TEST(Gshare, StorageBits)
 
 TEST(Jrs, HighConfidenceRequiresThresholdStreak)
 {
-    JrsConfidenceEstimator::Config cfg;
+    JrsEstimator::Config cfg;
     cfg.logEntries = 10;
     cfg.ctrBits = 4;
     cfg.threshold = 15;
     cfg.historyBits = 4;
-    JrsConfidenceEstimator jrs(cfg);
+    JrsEstimator jrs(cfg);
+    const Prediction taken = predicted(true);
 
-    // Repeat the same (pc, history) by always resolving taken.
-    // 14 correct predictions: still low confidence.
-    // Keep history constant by using taken=true each time... history
-    // changes; instead drive with history ignored: use historyBits=4
-    // and constant outcome so history saturates at 0b1111 quickly.
+    // Resolving taken every time saturates the 4-bit history at 0b1111,
+    // so (pc, history) repeats after the warm-up.
     for (int i = 0; i < 4; ++i)
-        jrs.record(0x40, true, true, true); // warm history to 1111
-    for (int i = 0; i < 14; ++i) {
-        jrs.record(0x40, true, true, true);
-    }
-    EXPECT_FALSE(jrs.query(0x40, true));
-    jrs.record(0x40, true, true, true); // 15th consecutive correct
-    EXPECT_TRUE(jrs.query(0x40, true));
+        jrs.onResolve(0x40, taken, true);
+    // 14 correct predictions: still low confidence.
+    for (int i = 0; i < 14; ++i)
+        jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+    jrs.onResolve(0x40, taken, true); // 15th consecutive correct
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
 }
 
 TEST(Jrs, MispredictionResetsCounter)
 {
-    JrsConfidenceEstimator::Config cfg;
+    JrsEstimator::Config cfg;
     cfg.logEntries = 10;
     cfg.historyBits = 2;
-    JrsConfidenceEstimator jrs(cfg);
+    JrsEstimator jrs(cfg);
+    const Prediction taken = predicted(true);
     for (int i = 0; i < 30; ++i)
-        jrs.record(0x40, true, true, true);
-    EXPECT_TRUE(jrs.query(0x40, true));
-    jrs.record(0x40, true, /*correct=*/false, true);
-    EXPECT_FALSE(jrs.query(0x40, true));
-    EXPECT_EQ(jrs.counterValue(0x40, true), 0u);
+        jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+    // A not-taken prediction resolved taken: the same (pc, history)
+    // entry, a misprediction, and the history stays 0b11.
+    jrs.onResolve(0x40, predicted(false), true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+    // The counter restarted from 0: 14 more correct stay low, the 15th
+    // reaches the threshold.
+    for (int i = 0; i < 14; ++i)
+        jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+    jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
 }
 
 TEST(Jrs, PredictionIndexedVariantSeparatesDirections)
 {
-    JrsConfidenceEstimator::Config cfg;
+    JrsEstimator::Config cfg;
     cfg.logEntries = 12;
     cfg.historyBits = 2;
     cfg.indexWithPrediction = true;
-    JrsConfidenceEstimator jrs(cfg);
+    JrsEstimator jrs(cfg);
+    EXPECT_EQ(jrs.name(), "jrsg");
     // Build confidence for predicted-taken only.
     for (int i = 0; i < 40; ++i)
-        jrs.record(0x40, true, true, true);
-    EXPECT_TRUE(jrs.query(0x40, true));
-    EXPECT_FALSE(jrs.query(0x40, false));
+        jrs.onResolve(0x40, predicted(true), true);
+    EXPECT_EQ(jrs.grade(0x40, predicted(true)), ConfidenceLevel::High);
+    EXPECT_EQ(jrs.grade(0x40, predicted(false)), ConfidenceLevel::Low);
 }
 
 TEST(Jrs, DefaultConfigIsClassic)
 {
-    JrsConfidenceEstimator jrs;
-    EXPECT_EQ(jrs.config().ctrBits, 4);
-    EXPECT_EQ(jrs.config().threshold, 15u);
+    // 4-bit counters over 2^12 entries, threshold 15: after the 12-bit
+    // history saturates, the 15th correct prediction is the first high.
+    JrsEstimator jrs;
+    EXPECT_EQ(jrs.name(), "jrs");
+    EXPECT_EQ(jrs.storageBits(), 4096u * 4);
+    const Prediction taken = predicted(true);
+    for (int i = 0; i < 12 + 14; ++i)
+        jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+    jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+}
+
+TEST(Jrs, ResetClearsCountersAndHistory)
+{
+    JrsEstimator jrs;
+    const Prediction taken = predicted(true);
+    for (int i = 0; i < 40; ++i)
+        jrs.onResolve(0x40, taken, true);
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+    jrs.reset();
+    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
 }
 
 TEST(Jrs, StorageBits)
 {
-    JrsConfidenceEstimator::Config cfg;
+    JrsEstimator::Config cfg;
     cfg.logEntries = 12;
     cfg.ctrBits = 4;
-    EXPECT_EQ(JrsConfidenceEstimator(cfg).storageBits(), 16384u);
+    EXPECT_EQ(JrsEstimator(cfg).storageBits(), 16384u);
 }
 
 TEST(Jrs, RejectsBadConfig)
 {
-    JrsConfidenceEstimator::Config bad;
+    JrsEstimator::Config bad;
     bad.threshold = 99; // exceeds 4-bit range
-    EXPECT_EXIT(JrsConfidenceEstimator{bad},
-                ::testing::ExitedWithCode(1), "threshold");
+    EXPECT_EXIT(JrsEstimator{bad}, ::testing::ExitedWithCode(1),
+                "threshold");
 }
 
 TEST(Perceptron, LearnsBias)
 {
     PerceptronPredictor p(8, 16);
     for (int i = 0; i < 200; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        step(p, 0x40, true);
+    EXPECT_TRUE(p.predict(0x40).taken);
 }
 
 TEST(Perceptron, LearnsHistoryCorrelation)
@@ -185,9 +229,8 @@ TEST(Perceptron, LearnsHistoryCorrelation)
     XorShift128Plus rng(3);
     for (int i = 0; i < 4000; ++i) {
         const bool taken = h2;
-        if (p.predict(0x40) != taken && i > 2000)
+        if (step(p, 0x40, taken).taken != taken && i > 2000)
             ++late_misses;
-        p.update(0x40, taken);
         h2 = h1;
         h1 = taken;
     }
@@ -197,12 +240,11 @@ TEST(Perceptron, LearnsHistoryCorrelation)
 TEST(Perceptron, SelfConfidenceGrowsWithTraining)
 {
     PerceptronPredictor p(8, 12);
-    p.predict(0x40);
-    EXPECT_FALSE(p.lastHighConfidence()); // untrained: |sum| = 0
+    // Untrained: |sum| = 0.
+    EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::Low);
     for (int i = 0; i < 500; ++i)
-        p.update(0x40, true);
-    p.predict(0x40);
-    EXPECT_TRUE(p.lastHighConfidence());
+        step(p, 0x40, true);
+    EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::High);
 }
 
 TEST(Perceptron, ThetaFormula)

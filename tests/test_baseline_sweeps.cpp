@@ -18,20 +18,31 @@
 namespace tagecon {
 namespace {
 
+/** One predict/update pair resolved @p taken; returns the prediction. */
+Prediction
+step(GradedPredictor& p, uint64_t pc, bool taken)
+{
+    const Prediction pred = p.predict(pc);
+    p.update(pc, pred, taken);
+    return pred;
+}
+
 /** JRS attached to a 16K TAGE over one trace; returns quality. */
 BinaryConfidenceMetrics
-runJrs(const JrsConfidenceEstimator::Config& jcfg)
+runJrs(const JrsEstimator::Config& jcfg)
 {
     TagePredictor predictor(TageConfig::small16K());
-    JrsConfidenceEstimator jrs(jcfg);
+    JrsEstimator jrs(jcfg);
     BinaryConfidenceMetrics m;
     SyntheticTrace trace = makeTrace("INT-2", 40000);
     BranchRecord rec;
     while (trace.next(rec)) {
         const TagePrediction p = predictor.predict(rec.pc);
-        const bool correct = p.taken == rec.taken;
-        m.record(jrs.query(rec.pc, p.taken), correct);
-        jrs.record(rec.pc, p.taken, correct, rec.taken);
+        Prediction graded;
+        graded.taken = p.taken;
+        m.record(jrs.grade(rec.pc, graded) == ConfidenceLevel::High,
+                 p.taken == rec.taken);
+        jrs.onResolve(rec.pc, graded, rec.taken);
         predictor.update(rec.pc, p, rec.taken);
     }
     return m;
@@ -43,7 +54,7 @@ class JrsThresholdSweep : public ::testing::TestWithParam<unsigned>
 
 TEST_P(JrsThresholdSweep, QualityIsWellFormed)
 {
-    JrsConfidenceEstimator::Config cfg;
+    JrsEstimator::Config cfg;
     cfg.logEntries = 12;
     cfg.ctrBits = 4;
     cfg.threshold = GetParam();
@@ -71,7 +82,7 @@ TEST(JrsThresholdTradeoff, HigherThresholdIsMoreSelective)
     double prev_cov = 2.0;
     double prev_pvp = -1.0;
     for (const unsigned th : {1u, 7u, 15u}) {
-        JrsConfidenceEstimator::Config cfg;
+        JrsEstimator::Config cfg;
         cfg.threshold = th;
         const BinaryConfidenceMetrics m = runJrs(cfg);
         EXPECT_LT(m.highCoverage(), prev_cov);
@@ -100,9 +111,8 @@ TEST_P(OgehlGeometrySweep, LearnsEasyStream)
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         const bool taken = i % 8 != 7;
-        if (p.predict(0x40) != taken && i > n / 2)
+        if (step(p, 0x40, taken).taken != taken && i > n / 2)
             ++late_misses;
-        p.update(0x40, taken);
     }
     EXPECT_LT(late_misses, n / 2 / 20)
         << "tables=" << cfg.numTables << " log=" << cfg.logEntries

@@ -12,9 +12,12 @@
 #include <span>
 #include <vector>
 
-#include "baseline/graded_baselines.hpp"
+#include "baseline/bimodal_predictor.hpp"
+#include "baseline/gshare_predictor.hpp"
+#include "baseline/jrs_estimator.hpp"
+#include "baseline/ogehl_predictor.hpp"
+#include "baseline/perceptron_predictor.hpp"
 #include "core/confidence_observer.hpp"
-#include "core/estimators.hpp"
 #include "sim/experiment.hpp"
 #include "sim/registry.hpp"
 #include "tage/graded_tage.hpp"
@@ -138,9 +141,9 @@ TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
     }
 }
 
-TEST(GradedBimodal, GradesWithSmithSelfConfidence)
+TEST(BimodalPredictor, GradesWithSmithSelfConfidence)
 {
-    GradedBimodal bimodal(10);
+    BimodalPredictor bimodal(10);
     // A fresh 2-bit counter starts weak: low confidence.
     Prediction p = bimodal.predict(64);
     EXPECT_EQ(p.confidence, ConfidenceLevel::Low);
@@ -156,17 +159,17 @@ TEST(GradedBimodal, GradesWithSmithSelfConfidence)
     bimodal.update(64, p, true);
 }
 
-TEST(GradedGshare, IsConfidenceBlind)
+TEST(GsharePredictor, IsConfidenceBlind)
 {
-    GradedGshare gshare(10, 10);
+    GsharePredictor gshare(10, 10);
     EXPECT_FALSE(gshare.hasIntrinsicConfidence());
     const Prediction p = gshare.predict(4);
     EXPECT_EQ(p.confidence, ConfidenceLevel::High);
 }
 
-TEST(GradedPerceptron, SelfConfidenceTracksTheta)
+TEST(PerceptronPredictor, SelfConfidenceTracksTheta)
 {
-    GradedPerceptron perceptron(6, 12);
+    PerceptronPredictor perceptron(6, 12);
     // An untrained perceptron's |sum| is 0 < theta: low confidence.
     const Prediction p = perceptron.predict(8);
     EXPECT_EQ(p.confidence, ConfidenceLevel::Low);
@@ -175,7 +178,7 @@ TEST(GradedPerceptron, SelfConfidenceTracksTheta)
 
 TEST(GenericRunTrace, FillsConfusionAndIdentity)
 {
-    GradedOgehl ogehl;
+    OgehlPredictor ogehl;
     SyntheticTrace t = makeTrace("181.mcf", 8000);
     const RunResult r = runTrace(t, ogehl);
     EXPECT_EQ(r.configName, "ogehl");

@@ -61,26 +61,21 @@ scalarSection(const obs::MetricsSnapshot& snap)
 TEST_F(ObsMetricsTest, DisabledSitesAreNoOps)
 {
     obs::Counter& c = obs::counter("test.gate.counter");
-    obs::Gauge& g = obs::gauge("test.gate.gauge");
     obs::TimingHistogram& h = obs::timingHistogram("test.gate.hist");
 
     obs::setMetricsEnabled(false);
     c.add(7);
-    g.set(42);
     h.record(100);
     {
         obs::ScopedTimer timer(h);
     }
     EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(g.value(), 0);
     EXPECT_EQ(h.count(), 0u);
 
     obs::setMetricsEnabled(true);
     c.add(7);
-    g.set(42);
     h.record(100);
     EXPECT_EQ(c.value(), 7u);
-    EXPECT_EQ(g.value(), 42);
     EXPECT_EQ(h.count(), 1u);
 }
 
@@ -147,23 +142,22 @@ TEST_F(ObsMetricsTest, DefaultBoundsAreStrictlyIncreasing)
         EXPECT_LT(bounds[i - 1], bounds[i]);
 }
 
-TEST_F(ObsMetricsTest, SnapshotMergesScalarsSorted)
+TEST_F(ObsMetricsTest, SnapshotListsScalarsSorted)
 {
     obs::counter("test.snap.b").add(2);
-    obs::gauge("test.snap.a").set(-5);
+    obs::counter("test.snap.a").add(5);
     obs::counter("test.snap.c").add(9);
     const obs::MetricsSnapshot snap = obs::snapshotMetrics();
     for (size_t i = 1; i < snap.scalars.size(); ++i)
         EXPECT_LT(snap.scalars[i - 1].name, snap.scalars[i].name);
-    bool saw_gauge = false;
+    bool saw_a = false;
     for (const auto& s : snap.scalars) {
         if (s.name == "test.snap.a") {
-            saw_gauge = true;
-            EXPECT_TRUE(s.isGauge);
-            EXPECT_EQ(s.value, -5);
+            saw_a = true;
+            EXPECT_EQ(s.value, 5);
         }
     }
-    EXPECT_TRUE(saw_gauge);
+    EXPECT_TRUE(saw_a);
 }
 
 TEST_F(ObsMetricsTest, ConcurrentCounterAndHistogramUpdatesAreExact)
@@ -204,7 +198,6 @@ TEST_F(ObsMetricsTest, PrometheusNamesAndDumpShape)
               "tagecon_ckpt_bytes_written");
 
     obs::counter("test.dump.counter").add(4);
-    obs::gauge("test.dump.gauge").set(7);
     obs::timingHistogram("test.dump.hist", nullptr).record(150);
 
     std::ostringstream os;
@@ -223,8 +216,6 @@ TEST_F(ObsMetricsTest, PrometheusNamesAndDumpShape)
     ASSERT_NE(counter_at, std::string::npos);
     EXPECT_LT(counter_at, tim);
     EXPECT_NE(text.find("# TYPE tagecon_test_dump_counter counter"),
-              std::string::npos);
-    EXPECT_NE(text.find("# TYPE tagecon_test_dump_gauge gauge"),
               std::string::npos);
 
     const size_t hist_at =

@@ -11,15 +11,24 @@
 namespace tagecon {
 namespace {
 
+/** One predict/update pair resolved @p taken; returns the prediction. */
+Prediction
+step(GradedPredictor& p, uint64_t pc, bool taken)
+{
+    const Prediction pred = p.predict(pc);
+    p.update(pc, pred, taken);
+    return pred;
+}
+
 TEST(Ogehl, LearnsConstantBranch)
 {
     OgehlPredictor p;
     for (int i = 0; i < 200; ++i)
-        p.update(0x40, true);
-    EXPECT_TRUE(p.predict(0x40));
+        step(p, 0x40, true);
+    EXPECT_TRUE(p.predict(0x40).taken);
     for (int i = 0; i < 400; ++i)
-        p.update(0x80, false);
-    EXPECT_FALSE(p.predict(0x80));
+        step(p, 0x80, false);
+    EXPECT_FALSE(p.predict(0x80).taken);
 }
 
 TEST(Ogehl, LearnsAlternation)
@@ -28,9 +37,8 @@ TEST(Ogehl, LearnsAlternation)
     int late_misses = 0;
     for (int i = 0; i < 4000; ++i) {
         const bool taken = i % 2 == 0;
-        if (p.predict(0x40) != taken && i > 2000)
+        if (step(p, 0x40, taken).taken != taken && i > 2000)
             ++late_misses;
-        p.update(0x40, taken);
     }
     EXPECT_LT(late_misses, 20);
 }
@@ -44,9 +52,8 @@ TEST(Ogehl, LearnsLongLoopViaGeometricHistory)
     const int n = 60000;
     for (int i = 0; i < n; ++i) {
         const bool taken = i % 60 != 59;
-        if (p.predict(0x40) != taken && i > n / 2)
+        if (step(p, 0x40, taken).taken != taken && i > n / 2)
             ++late_misses;
-        p.update(0x40, taken);
     }
     EXPECT_LT(late_misses, n / 2 / 50);
 }
@@ -54,18 +61,18 @@ TEST(Ogehl, LearnsLongLoopViaGeometricHistory)
 TEST(Ogehl, SelfConfidenceLowWhenUntrained)
 {
     OgehlPredictor p;
-    p.predict(0x40);
-    EXPECT_FALSE(p.lastHighConfidence());
+    EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::Low);
 }
 
 TEST(Ogehl, SelfConfidenceHighAfterTraining)
 {
     OgehlPredictor p;
     for (int i = 0; i < 500; ++i)
-        p.update(0x40, true);
-    p.predict(0x40);
-    EXPECT_TRUE(p.lastHighConfidence());
-    EXPECT_GE(p.lastSum(), p.theta());
+        step(p, 0x40, true);
+    // High and taken: the sum is at or above +theta.
+    const Prediction pred = p.predict(0x40);
+    EXPECT_EQ(pred.confidence, ConfidenceLevel::High);
+    EXPECT_TRUE(pred.taken);
 }
 
 TEST(Ogehl, ThetaAdaptsUpwardUnderNoise)
@@ -76,8 +83,7 @@ TEST(Ogehl, ThetaAdaptsUpwardUnderNoise)
     // Pure noise: constant mispredictions drive theta up.
     for (int i = 0; i < 60000; ++i) {
         const uint64_t pc = 0x100 + (rng.next() % 16) * 4;
-        p.predict(pc);
-        p.update(pc, rng.nextBool(0.5));
+        step(p, pc, rng.nextBool(0.5));
     }
     EXPECT_GT(p.theta(), initial);
 }
@@ -112,9 +118,8 @@ TEST(Ogehl, BeatsCoinOnBiasedStream)
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         const bool taken = rng.nextBool(0.8);
-        if (p.predict(0x200) != taken)
+        if (step(p, 0x200, taken).taken != taken)
             ++misses;
-        p.update(0x200, taken);
     }
     // Must approach the 20% intrinsic floor.
     EXPECT_LT(misses, n * 30 / 100);

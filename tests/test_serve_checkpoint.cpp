@@ -16,15 +16,19 @@
  * perceptron and O-GEHL neural families added in checkpoint version
  * 2), deterministic encoding, strict rejection of truncated /
  * corrupted / wrong-magic / wrong-version (including old v1) /
- * wrong-spec blobs, the stateful-estimator error path, stream-kind
- * position fields, and the file helpers.
+ * unknown-kind / wrong-spec blobs, range checks on restored scalars,
+ * the stateful-estimator error path, the serving-position fields, and
+ * the file helpers.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <limits>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -240,17 +244,21 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> blob;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*p, spec, 3, "FP-1", 10000, blob)));
 
     // Encoding is a pure function of predictor state.
     std::vector<uint8_t> blob_again;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob_again)));
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*p, spec, 3, "FP-1", 10000, blob_again)));
     EXPECT_EQ(blob, blob_again);
 
     Checkpoint ck;
     ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
-    EXPECT_EQ(ck.kind, Checkpoint::Kind::Predictor);
     EXPECT_EQ(ck.spec, spec);
+    EXPECT_EQ(ck.streamId, 3u);
+    EXPECT_EQ(ck.trace, "FP-1");
+    EXPECT_EQ(ck.consumed, 10000u);
     ASSERT_TRUE(succeeded(restoreFromCheckpoint(ck, *q, spec)));
 
     while (trace->next(rec)) {
@@ -264,8 +272,10 @@ expectRoundTripContinuesBitIdentically(const std::string& spec_arg)
     }
 
     std::vector<uint8_t> final_p, final_q;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, final_p)));
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*q, spec, final_q)));
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*p, spec, 3, "FP-1", 20000, final_p)));
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*q, spec, 3, "FP-1", 20000, final_q)));
     EXPECT_EQ(final_p, final_q);
 }
 
@@ -291,7 +301,7 @@ TEST(CheckpointRoundTrip, PerceptronAndOgehlContinueBitIdentically)
     expectRoundTripContinuesBitIdentically("ogehl+sfc");
 }
 
-TEST(CheckpointRoundTrip, StreamKindCarriesServingPosition)
+TEST(CheckpointRoundTrip, BlobCarriesServingPosition)
 {
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
@@ -300,7 +310,6 @@ TEST(CheckpointRoundTrip, StreamKindCarriesServingPosition)
         encodeStreamCheckpoint(*p, spec, 42, "FP-1", 1234, blob)));
     Checkpoint ck;
     ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
-    EXPECT_EQ(ck.kind, Checkpoint::Kind::Stream);
     EXPECT_EQ(ck.spec, spec);
     EXPECT_EQ(ck.streamId, 42u);
     EXPECT_EQ(ck.trace, "FP-1");
@@ -326,7 +335,8 @@ someValidBlob()
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    EXPECT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
+    EXPECT_TRUE(
+        succeeded(encodeStreamCheckpoint(*p, spec, 0, "", 0, blob)));
     return blob;
 }
 
@@ -400,6 +410,73 @@ TEST(CheckpointRestore, SinceBimMissIsClampedBeforeItIsNarrowed)
     }
 }
 
+/** A registry-built O-GEHL predictor after @p branches of FP-1. */
+std::unique_ptr<GradedPredictor>
+trainedOgehl(int branches)
+{
+    auto p = makePredictor("ogehl");
+    auto trace = makeTraceSource("FP-1", static_cast<uint64_t>(branches),
+                                 0);
+    BranchRecord rec;
+    while (trace->next(rec))
+        p->update(rec.pc, p->predict(rec.pc), rec.taken);
+    return p;
+}
+
+TEST(CheckpointRestore, OgehlThetaAndThresholdCounterAreRangeChecked)
+{
+    // OgehlPredictor's snapshot ends with theta (i64), then the
+    // threshold counter (i64, thresholdCtrBits = 7: [-64, 63]).
+    const size_t theta_tail = 8;
+    const size_t counter_tail = 0;
+    StateWriter trained, fresh;
+    std::string error;
+    ASSERT_TRUE(trainedOgehl(5000)->snapshot(trained, error)) << error;
+    ASSERT_TRUE(makePredictor("ogehl")->snapshot(fresh, error)) << error;
+
+    const int64_t int_max = std::numeric_limits<int>::max();
+    const std::tuple<size_t, int64_t, const char*> rejected[] = {
+        {theta_tail, 0, "theta"},
+        {theta_tail, -5, "theta"},
+        {theta_tail, (int64_t{1} << 32) + 3, "theta"},
+        {theta_tail, int_max + 1, "theta"},
+        {counter_tail, 64, "threshold counter"},
+        {counter_tail, -65, "threshold counter"},
+        {counter_tail, (int64_t{1} << 32) + 3, "threshold counter"},
+    };
+    for (const auto& [tail, stored, field] : rejected) {
+        SCOPED_TRACE("stored " + std::to_string(stored));
+        const auto blob = withI64Field(trained.data(), tail, stored);
+        auto target = trainedOgehl(3000);
+        StateReader in(blob);
+        error.clear();
+        EXPECT_FALSE(target->restore(in, error));
+        EXPECT_NE(error.find(field), std::string::npos) << error;
+        // A rejected restore leaves the predictor reset.
+        StateWriter after;
+        ASSERT_TRUE(target->snapshot(after, error)) << error;
+        EXPECT_EQ(after.data(), fresh.data());
+    }
+
+    // The edges of each range restore exactly.
+    const std::pair<size_t, int64_t> accepted[] = {
+        {theta_tail, 1},
+        {theta_tail, int_max},
+        {counter_tail, 63},
+        {counter_tail, -64},
+    };
+    for (const auto& [tail, stored] : accepted) {
+        SCOPED_TRACE("stored " + std::to_string(stored));
+        const auto blob = withI64Field(trained.data(), tail, stored);
+        auto target = makePredictor("ogehl");
+        StateReader in(blob);
+        ASSERT_TRUE(target->restore(in, error)) << error;
+        StateWriter after;
+        ASSERT_TRUE(target->snapshot(after, error)) << error;
+        EXPECT_EQ(after.data(), blob);
+    }
+}
+
 TEST(CheckpointRejection, TruncatedBlobs)
 {
     std::vector<uint8_t> blob = someValidBlob();
@@ -452,11 +529,16 @@ TEST(CheckpointRejection, Version1BlobsAreRejectedOutright)
 
 TEST(CheckpointRejection, UnknownKind)
 {
-    std::vector<uint8_t> blob = someValidBlob();
-    blob[8] = 7; // kind field follows magic + version
-    refreshDigest(blob);
-    Checkpoint ck;
-    EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck), "unknown checkpoint kind 7"));
+    // Kind 1 was the retired bare-predictor kind; only 2 is read.
+    for (const uint8_t kind : {7, 1}) {
+        std::vector<uint8_t> blob = someValidBlob();
+        blob[8] = kind; // kind field follows magic + version
+        refreshDigest(blob);
+        Checkpoint ck;
+        EXPECT_TRUE(failedWith(decodeCheckpoint(blob, ck),
+                               "unknown checkpoint kind " +
+                                   std::to_string(kind)));
+    }
 }
 
 TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
@@ -467,7 +549,8 @@ TEST(CheckpointRejection, SpecMismatchLeavesTargetReset)
     auto dst = makePredictor(dst_spec);
 
     std::vector<uint8_t> blob;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*src, src_spec, blob)));
+    ASSERT_TRUE(succeeded(
+        encodeStreamCheckpoint(*src, src_spec, 0, "", 0, blob)));
     Checkpoint ck;
     ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
@@ -484,7 +567,8 @@ TEST(CheckpointRejection, TrailingPayloadBytes)
     const std::string spec = canonicalizeSpec("bimodal");
     auto p = makePredictor(spec);
     std::vector<uint8_t> blob;
-    ASSERT_TRUE(succeeded(encodePredictorCheckpoint(*p, spec, blob)));
+    ASSERT_TRUE(
+        succeeded(encodeStreamCheckpoint(*p, spec, 0, "", 0, blob)));
     Checkpoint ck;
     ASSERT_TRUE(succeeded(decodeCheckpoint(blob, ck)));
 
@@ -502,9 +586,10 @@ TEST(CheckpointUnsupported, StatefulEstimatorBlocksTheWrapper)
     auto p = tryMakePredictor("gshare+jrs", &error);
     ASSERT_NE(p, nullptr) << error;
     std::vector<uint8_t> blob;
-    EXPECT_TRUE(failedWith(encodePredictorCheckpoint(
-                               *p, canonicalizeSpec("gshare+jrs"), blob),
-                           "not supported"));
+    EXPECT_TRUE(failedWith(
+        encodeStreamCheckpoint(*p, canonicalizeSpec("gshare+jrs"), 0, "",
+                               0, blob),
+        "not supported"));
 }
 
 TEST(CheckpointFiles, WriteReadRoundTripAndNaming)
@@ -595,8 +680,8 @@ TEST(CheckpointErrors, TypedResultsCarryCodeAndSite)
     auto p = tryMakePredictor("gshare+jrs", &error);
     ASSERT_NE(p, nullptr) << error;
     std::vector<uint8_t> blob;
-    const Err enc_err = encodePredictorCheckpoint(
-        *p, canonicalizeSpec("gshare+jrs"), blob);
+    const Err enc_err = encodeStreamCheckpoint(
+        *p, canonicalizeSpec("gshare+jrs"), 0, "", 0, blob);
     EXPECT_EQ(enc_err.code, ErrCode::Unsupported);
     EXPECT_EQ(enc_err.site, "ckpt.encode");
 
