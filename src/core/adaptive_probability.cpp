@@ -4,11 +4,6 @@
 
 namespace tagecon {
 
-AdaptiveProbabilityController::AdaptiveProbabilityController()
-    : AdaptiveProbabilityController(Config{})
-{
-}
-
 AdaptiveProbabilityController::AdaptiveProbabilityController(Config cfg)
     : cfg_(cfg), log2Prob_(cfg.initialLog2)
 {

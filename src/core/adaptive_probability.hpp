@@ -50,9 +50,6 @@ class AdaptiveProbabilityController
         uint64_t epochLength = 65536;
     };
 
-    /** Build with the paper's defaults (p0 = 1/128, target 10 MKP). */
-    AdaptiveProbabilityController();
-
     explicit AdaptiveProbabilityController(Config cfg);
 
     /**

@@ -161,17 +161,6 @@ threeClassTable()
     return t;
 }
 
-std::string
-summarize(const RunResult& result)
-{
-    std::ostringstream os;
-    os << result.traceName << " [" << result.configName
-       << "]: " << result.stats.totalPredictions() << " branches, "
-       << TextTable::num(result.stats.mpki(), 2) << " MPKI, "
-       << TextTable::num(result.stats.totalMkp(), 1) << " MKP";
-    return os.str();
-}
-
 // ------------------------------------------- analysis result tables
 
 ReportTable

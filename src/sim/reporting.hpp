@@ -87,9 +87,6 @@ std::vector<std::string> threeClassRow(const std::string& label,
 /** Build the Table 2/3 skeleton (header columns). */
 TextTable threeClassTable();
 
-/** Render a one-line summary of a RunResult (debugging / examples). */
-std::string summarize(const RunResult& result);
-
 // ------------------------------------------- analysis result tables
 
 /** Per-interval class stats (IntervalObserver output). */

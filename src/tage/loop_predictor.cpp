@@ -6,11 +6,6 @@
 
 namespace tagecon {
 
-LoopPredictor::LoopPredictor()
-    : LoopPredictor(Config{})
-{
-}
-
 LoopPredictor::LoopPredictor(Config cfg)
     : cfg_(cfg),
       confMax_(packed::unsignedMax(cfg.confBits)),
@@ -126,17 +121,6 @@ LoopPredictor::storageBits() const
         static_cast<uint64_t>(cfg_.confBits) +
         static_cast<uint64_t>(cfg_.ageBits) + 2; // dir + inUse
     return (uint64_t{1} << cfg_.logEntries) * per_entry;
-}
-
-int
-LoopPredictor::confidentEntries() const
-{
-    int n = 0;
-    for (const auto& e : entries_) {
-        if (e.inUse && e.confidence == confMax_)
-            ++n;
-    }
-    return n;
 }
 
 } // namespace tagecon

@@ -51,7 +51,6 @@ class LoopPredictor
         bool taken = false;
     };
 
-    LoopPredictor();
     explicit LoopPredictor(Config cfg);
 
     /** Query the loop predictor for the branch at @p pc. */
@@ -72,9 +71,6 @@ class LoopPredictor
 
     /** The configuration in use. */
     const Config& config() const { return cfg_; }
-
-    /** Number of confident entries (introspection / tests). */
-    int confidentEntries() const;
 
   private:
     struct Entry {

@@ -156,12 +156,4 @@ BranchBehavior::reset()
     std::visit(Visitor{}, model_);
 }
 
-uint16_t
-BranchBehavior::maxHistoryTap() const
-{
-    if (const auto* m = std::get_if<CorrelatedModel>(&model_))
-        return *std::max_element(m->taps.begin(), m->taps.end());
-    return 0;
-}
-
 } // namespace tagecon

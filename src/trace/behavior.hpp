@@ -101,13 +101,6 @@ class BranchBehavior
      */
     void reset();
 
-    /**
-     * Largest history distance this behaviour reads; 0 for models that
-     * ignore history. The workload sizes its history buffer from the
-     * max over all sites.
-     */
-    uint16_t maxHistoryTap() const;
-
   private:
     struct AlwaysModel {
         bool taken;

@@ -9,7 +9,6 @@
 #include <sstream>
 
 #include "util/failpoint.hpp"
-#include "util/logging.hpp"
 
 #if TAGECON_HAVE_ZLIB
 #include <zlib.h>
@@ -254,19 +253,10 @@ probeCbpAsciiFile(const std::string& path, std::string* error)
     return true; // empty / comment-only traces are valid
 }
 
-CbpAsciiReader::CbpAsciiReader(Opened, const std::string& path,
+CbpAsciiReader::CbpAsciiReader(const std::string& path,
                                std::unique_ptr<CbpLineSource> in)
     : path_(path), name_(cbpAsciiTraceName(path)), in_(std::move(in))
 {
-}
-
-CbpAsciiReader::CbpAsciiReader(const std::string& path)
-    : path_(path), name_(cbpAsciiTraceName(path)),
-      in_(std::make_unique<CbpLineSource>())
-{
-    std::string error;
-    if (!in_->open(path, error))
-        fatal(error);
 }
 
 Expected<std::unique_ptr<CbpAsciiReader>>
@@ -283,7 +273,7 @@ CbpAsciiReader::open(const std::string& path)
         return Err(code, "trace.open", std::move(error));
     }
     return std::unique_ptr<CbpAsciiReader>(
-        new CbpAsciiReader(Opened{}, path, std::move(src)));
+        new CbpAsciiReader(path, std::move(src)));
 }
 
 CbpAsciiReader::~CbpAsciiReader() = default;

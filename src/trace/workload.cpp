@@ -494,26 +494,4 @@ SyntheticTrace::reset()
     build();
 }
 
-size_t
-SyntheticTrace::numSites() const
-{
-    size_t n = 0;
-    for (const auto& f : functions_)
-        n += f.sites.size();
-    return n;
-}
-
-size_t
-SyntheticTrace::countSites(BehaviorKind kind) const
-{
-    size_t n = 0;
-    for (const auto& f : functions_) {
-        for (const auto& s : f.sites) {
-            if (s.behavior.kind() == kind)
-                ++n;
-        }
-    }
-    return n;
-}
-
 } // namespace tagecon

@@ -135,12 +135,6 @@ class SyntheticTrace : public TraceSource
     /** Number of functions in the built program (introspection). */
     size_t numFunctions() const { return functions_.size(); }
 
-    /** Total static branch sites in the built program. */
-    size_t numSites() const;
-
-    /** Count of sites using the given behaviour kind. */
-    size_t countSites(BehaviorKind kind) const;
-
     /** The generation parameters (read-only). */
     const ProfileParams& params() const { return params_; }
 

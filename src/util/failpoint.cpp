@@ -31,8 +31,6 @@ struct Registry {
     Mutex mutex;
     std::map<std::string, std::vector<RuleState>> bySite
         TAGECON_GUARDED_BY(mutex);
-    std::map<std::string, SiteStats> siteStats
-        TAGECON_GUARDED_BY(mutex);
 };
 
 Registry&
@@ -230,7 +228,6 @@ armRules(std::vector<FailRule> rules)
     Registry& r = registry();
     MutexLock lock(r.mutex);
     r.bySite.clear();
-    r.siteStats.clear();
     for (auto& rule : rules)
         r.bySite[rule.site].push_back(RuleState{std::move(rule), {}});
     detail::g_armed.store(r.bySite.empty() ? 0 : 1,
@@ -254,8 +251,6 @@ check(const char* site)
     if (it == r.bySite.end())
         return std::nullopt;
     const uint64_t key = t_scopeKey;
-    SiteStats& ss = r.siteStats[site];
-    ++ss.hits;
     for (RuleState& rs : it->second) {
         const FailRule& rule = rs.rule;
         if (rule.key != kNoKey && rule.key != key)
@@ -272,7 +267,6 @@ check(const char* site)
         if (!fires || ks.fires >= rule.count)
             continue;
         ++ks.fires;
-        ++ss.fires;
         std::string detail = "injected fault (hit " +
                              std::to_string(ks.hits);
         if (key != kNoKey)
@@ -291,21 +285,6 @@ KeyScope::KeyScope(uint64_t key) : prev_(t_scopeKey)
 KeyScope::~KeyScope()
 {
     t_scopeKey = prev_;
-}
-
-uint64_t
-currentKey()
-{
-    return t_scopeKey;
-}
-
-SiteStats
-stats(const std::string& site)
-{
-    Registry& r = registry();
-    MutexLock lock(r.mutex);
-    const auto it = r.siteStats.find(site);
-    return it == r.siteStats.end() ? SiteStats{} : it->second;
 }
 
 } // namespace failpoints

@@ -136,18 +136,6 @@ class KeyScope
     uint64_t prev_;
 };
 
-/** The calling thread's current scope key (kNoKey outside any scope). */
-uint64_t currentKey();
-
-/** Cumulative counters of one site since the last (re-)arming. */
-struct SiteStats {
-    uint64_t hits = 0;  ///< evaluations while armed
-    uint64_t fires = 0; ///< injected failures
-};
-
-/** Stats for @p site (zeros when never hit). */
-SiteStats stats(const std::string& site);
-
 /**
  * Test helper: arm on construction, disarm on destruction, so a
  * failing test cannot leak armed rules into the next one.

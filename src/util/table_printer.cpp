@@ -32,17 +32,6 @@ TextTable::addSeparator()
     rows_.push_back(Row{true, {}});
 }
 
-size_t
-TextTable::rows() const
-{
-    size_t n = 0;
-    for (const auto& r : rows_) {
-        if (!r.separator)
-            ++n;
-    }
-    return n;
-}
-
 void
 TextTable::render(std::ostream& os) const
 {
@@ -117,14 +106,6 @@ TextTable::renderCsv(std::ostream& os) const
         if (!r.separator)
             emit(r.cells);
     }
-}
-
-std::string
-TextTable::toString() const
-{
-    std::ostringstream os;
-    render(os);
-    return os.str();
 }
 
 std::vector<std::vector<std::string>>

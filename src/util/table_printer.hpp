@@ -36,9 +36,6 @@ class TextTable
     /** Append a horizontal separator row. */
     void addSeparator();
 
-    /** Number of data rows (separators excluded). */
-    size_t rows() const;
-
     /** Declared column headers, in order. */
     const std::vector<std::string>& headers() const { return headers_; }
 
@@ -53,9 +50,6 @@ class TextTable
 
     /** Render as CSV (no alignment padding, comma-separated). */
     void renderCsv(std::ostream& os) const;
-
-    /** Convenience: render() into a string. */
-    std::string toString() const;
 
     /**
      * Format a double with @p decimals fractional digits. The single

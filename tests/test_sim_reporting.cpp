@@ -5,12 +5,23 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "sim/reporting.hpp"
 #include "sim/sweep.hpp"
-#include "tage/graded_tage.hpp"
 
 namespace tagecon {
 namespace {
+
+/** @p t rendered with aligned columns. */
+std::string
+rendered(const TextTable& t)
+{
+    std::ostringstream os;
+    t.render(os);
+    return os.str();
+}
 
 SweepRow
 tinyCbp1Row()
@@ -25,8 +36,8 @@ TEST(Reporting, CoverageTableHasAllTracesPlusAggregate)
 {
     const SweepRow r = tinyCbp1Row();
     const TextTable t = coverageTable(r.perTrace, r.aggregate);
-    EXPECT_EQ(t.rows(), 21u); // 20 traces + (all)
-    const std::string s = t.toString();
+    EXPECT_EQ(t.dataRows().size(), 21u); // 20 traces + (all)
+    const std::string s = rendered(t);
     EXPECT_NE(s.find("FP-1"), std::string::npos);
     EXPECT_NE(s.find("SERV-5"), std::string::npos);
     EXPECT_NE(s.find("(all)"), std::string::npos);
@@ -38,16 +49,16 @@ TEST(Reporting, MpkiBreakdownIncludesTotalColumn)
 {
     const SweepRow r = tinyCbp1Row();
     const TextTable t = mpkiBreakdownTable(r.perTrace, r.aggregate);
-    EXPECT_EQ(t.rows(), 21u);
-    EXPECT_NE(t.toString().find("total-MPKI"), std::string::npos);
+    EXPECT_EQ(t.dataRows().size(), 21u);
+    EXPECT_NE(rendered(t).find("total-MPKI"), std::string::npos);
 }
 
 TEST(Reporting, MprateTableSelectsTraces)
 {
     const SweepRow r = tinyCbp1Row();
     const TextTable t = mprateTable(r.perTrace, {"FP-1", "MM-3"});
-    EXPECT_EQ(t.rows(), 2u);
-    const std::string s = t.toString();
+    EXPECT_EQ(t.dataRows().size(), 2u);
+    const std::string s = rendered(t);
     EXPECT_NE(s.find("FP-1"), std::string::npos);
     EXPECT_NE(s.find("MM-3"), std::string::npos);
     EXPECT_EQ(s.find("SERV-1"), std::string::npos);
@@ -78,17 +89,6 @@ TEST(Reporting, ThreeClassRowFormat)
     EXPECT_EQ(row[1], "0.800-0.186 (10)");
     EXPECT_EQ(row[2], "0.150-0.349 (100)");
     EXPECT_EQ(row[3], "0.050-0.465 (400)");
-}
-
-TEST(Reporting, SummarizeMentionsTraceAndConfig)
-{
-    SyntheticTrace trace = makeTrace("FP-2", 3000);
-    GradedTage predictor(TageConfig::small16K());
-    const RunResult r = runTrace(trace, predictor);
-    const std::string s = summarize(r);
-    EXPECT_NE(s.find("FP-2"), std::string::npos);
-    EXPECT_NE(s.find("16K"), std::string::npos);
-    EXPECT_NE(s.find("MPKI"), std::string::npos);
 }
 
 } // namespace

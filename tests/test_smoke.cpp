@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "sim/experiment.hpp"
-#include "sim/reporting.hpp"
 #include "tage/graded_tage.hpp"
 
 namespace tagecon {
@@ -21,7 +20,8 @@ TEST(Smoke, PipelineRuns)
     EXPECT_EQ(rr.stats.totalPredictions(), 50000u);
     EXPECT_GT(rr.stats.instructions(), 50000u);
     EXPECT_LT(rr.stats.totalMkp(), 500.0);
-    EXPECT_FALSE(summarize(rr).empty());
+    EXPECT_EQ(rr.traceName, "FP-1");
+    EXPECT_FALSE(rr.configName.empty());
 }
 
 } // namespace

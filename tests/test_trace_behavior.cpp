@@ -189,15 +189,6 @@ TEST(Behavior, CorrelatedNoiseFlipsSometimes)
     EXPECT_NEAR(static_cast<double>(flips) / n, 0.25, 0.02);
 }
 
-TEST(Behavior, MaxHistoryTap)
-{
-    EXPECT_EQ(BranchBehavior::always(true).maxHistoryTap(), 0);
-    EXPECT_EQ(BranchBehavior::loop(7).maxHistoryTap(), 0);
-    EXPECT_EQ(BranchBehavior::correlated({3, 17, 5}, false, 0.0)
-                  .maxHistoryTap(),
-              17);
-}
-
 TEST(Behavior, KindReportsModel)
 {
     EXPECT_EQ(BranchBehavior::loop(3).kind(), BehaviorKind::Loop);

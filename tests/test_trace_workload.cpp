@@ -108,10 +108,16 @@ TEST(SyntheticTrace, FootprintMatchesFunctionCount)
 {
     ProfileParams p = tinyProfile();
     p.numFunctions = 17;
-    SyntheticTrace t(p, 1);
+    SyntheticTrace t(p, 200000);
     EXPECT_EQ(t.numFunctions(), 17u);
-    EXPECT_GE(t.numSites(), 17u * 2);
-    EXPECT_LE(t.numSites(), 17u * 6);
+    // Each function holds 2..6 sites, and a long stream visits them
+    // all.
+    BranchRecord rec;
+    std::set<uint64_t> pcs;
+    while (t.next(rec))
+        pcs.insert(rec.pc);
+    EXPECT_GE(pcs.size(), 17u * 2);
+    EXPECT_LE(pcs.size(), 17u * 6);
 }
 
 TEST(SyntheticTrace, SitePcsAreDistinct)
@@ -165,7 +171,7 @@ TEST(SyntheticTrace, LoopsIterateInPlace)
     }
 }
 
-TEST(SyntheticTrace, CountSitesByKind)
+TEST(SyntheticTrace, SingleKindMixEmitsOnlyThatKind)
 {
     ProfileParams p = tinyProfile();
     p.numFunctions = 64;
@@ -175,9 +181,10 @@ TEST(SyntheticTrace, CountSitesByKind)
     p.fracBiased = 0.0;
     p.fracMarkov = 0.0;
     p.fracCorrelated = 0.0;
-    SyntheticTrace t(p, 1);
-    EXPECT_EQ(t.countSites(BehaviorKind::Always), t.numSites());
-    EXPECT_EQ(t.countSites(BehaviorKind::Loop), 0u);
+    SyntheticTrace t(p, 5000);
+    BranchRecord rec;
+    while (t.next(rec))
+        ASSERT_EQ(t.lastKind(), BehaviorKind::Always);
 }
 
 TEST(SyntheticTrace, LastKindTracksEmittedSite)
