@@ -57,7 +57,7 @@ class JrsEstimator : public ConfidenceEstimator
 
     /**
      * High confidence iff the counter for (@p pc, current history,
-     * and p.taken when prediction-indexed) is at the threshold.
+     * and p.taken when prediction-indexed) is at or above the threshold.
      */
     ConfidenceLevel grade(uint64_t pc, const Prediction& p) override;
 

@@ -2,7 +2,7 @@
  * @file
  * The perceptron branch predictor (Jimenez & Lin, HPCA 2001) with its
  * natural self-confidence estimate: a prediction is high confidence
- * when |output sum| exceeds the training threshold (Sec. 2.2 cites
+ * when |output sum| is at or above the training threshold (Sec. 2.2 cites
  * this as the storage-free confidence scheme for neural predictors;
  * the same idea was used for O-GEHL).
  */

@@ -18,15 +18,6 @@
 namespace tagecon {
 namespace {
 
-/** One predict/update pair resolved @p taken; returns the prediction. */
-Prediction
-step(GradedPredictor& p, uint64_t pc, bool taken)
-{
-    const Prediction pred = p.predict(pc);
-    p.update(pc, pred, taken);
-    return pred;
-}
-
 /** JRS attached to a 16K TAGE over one trace; returns quality. */
 BinaryConfidenceMetrics
 runJrs(const JrsEstimator::Config& jcfg)
@@ -111,8 +102,10 @@ TEST_P(OgehlGeometrySweep, LearnsEasyStream)
     const int n = 20000;
     for (int i = 0; i < n; ++i) {
         const bool taken = i % 8 != 7;
-        if (step(p, 0x40, taken).taken != taken && i > n / 2)
+        const Prediction pred = p.predict(0x40);
+        if (pred.taken != taken && i > n / 2)
             ++late_misses;
+        p.update(0x40, pred, taken);
     }
     EXPECT_LT(late_misses, n / 2 / 20)
         << "tables=" << cfg.numTables << " log=" << cfg.logEntries
