@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "baseline/jrs_estimator.hpp"
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
 #include "tage/tage_config.hpp"
@@ -665,9 +666,9 @@ vsJrs(const PlanContext& ctx)
         // Storage the estimator costs on top of its own host.
         const auto probe = makePredictor(row.spec);
         uint64_t extra_bits = 0;
-        if (const auto* est =
-                dynamic_cast<const EstimatedPredictor*>(probe.get()))
-            extra_bits = est->estimator().storageBits();
+        if (const auto* jrs =
+                dynamic_cast<const JrsEstimator*>(probe.get()))
+            extra_bits = jrs->tableBits();
         t.addRow({row.spec, std::to_string(extra_bits / 1024) + " Kbit",
                   TextTable::frac(row.confusion.highCoverage()),
                   TextTable::frac(row.confusion.sens()),

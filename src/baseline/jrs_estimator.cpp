@@ -8,13 +8,9 @@
 
 namespace tagecon {
 
-JrsEstimator::JrsEstimator()
-    : JrsEstimator(Config{})
-{
-}
-
-JrsEstimator::JrsEstimator(Config cfg)
-    : cfg_(cfg)
+JrsEstimator::JrsEstimator(std::unique_ptr<GradedPredictor> host,
+                           Config cfg)
+    : host_(std::move(host)), cfg_(cfg)
 {
     if (cfg_.logEntries < 1 || cfg_.logEntries > 24)
         fatal("JRS: bad table size");
@@ -25,7 +21,6 @@ JrsEstimator::JrsEstimator(Config cfg)
     if (cfg_.historyBits < 1 || cfg_.historyBits > 32)
         fatal("JRS: bad history length");
     table_.resize(size_t{1} << cfg_.logEntries);
-    reset();
 }
 
 uint32_t
@@ -37,16 +32,19 @@ JrsEstimator::indexFor(uint64_t pc, bool predicted_taken) const
     return static_cast<uint32_t>(idx & maskBits(cfg_.logEntries));
 }
 
-ConfidenceLevel
-JrsEstimator::grade(uint64_t pc, const Prediction& p)
+Prediction
+JrsEstimator::predict(uint64_t pc)
 {
-    return table_[indexFor(pc, p.taken)] >= cfg_.threshold
-               ? ConfidenceLevel::High
-               : ConfidenceLevel::Low;
+    Prediction p = host_->predict(pc);
+    p.confidence = table_[indexFor(pc, p.taken)] >= cfg_.threshold
+                       ? ConfidenceLevel::High
+                       : ConfidenceLevel::Low;
+    p.cls = representativeClass(p.confidence);
+    return p;
 }
 
 void
-JrsEstimator::onResolve(uint64_t pc, const Prediction& p, bool taken)
+JrsEstimator::update(uint64_t pc, const Prediction& p, bool taken)
 {
     uint16_t& ctr = table_[indexFor(pc, p.taken)];
     // Resetting counter: saturating increment when correct, zero on a
@@ -55,20 +53,64 @@ JrsEstimator::onResolve(uint64_t pc, const Prediction& p, bool taken)
                                  packed::unsignedInc(ctr, cfg_.ctrBits))
                            : uint16_t{0};
     history_ = (history_ << 1) | (taken ? 1 : 0);
+    host_->update(pc, p, taken);
 }
 
 uint64_t
-JrsEstimator::storageBits() const
+JrsEstimator::tableBits() const
 {
     return (uint64_t{1} << cfg_.logEntries) *
            static_cast<uint64_t>(cfg_.ctrBits);
 }
 
+uint64_t
+JrsEstimator::storageBits() const
+{
+    return host_->storageBits() + tableBits();
+}
+
 void
 JrsEstimator::reset()
 {
+    host_->reset();
     std::fill(table_.begin(), table_.end(), uint16_t{0});
     history_ = 0;
+}
+
+bool
+JrsEstimator::snapshot(StateWriter& out, std::string& error) const
+{
+    (void)out;
+    error = stateIoError();
+    return false;
+}
+
+bool
+JrsEstimator::restore(StateReader& in, std::string& error)
+{
+    (void)in;
+    error = stateIoError();
+    return false;
+}
+
+std::string
+JrsEstimator::stateIoError() const
+{
+    return name() + ": checkpoint/restore is not supported with the "
+                    "stateful '" +
+           token() + "' estimator";
+}
+
+std::string
+JrsEstimator::token() const
+{
+    return cfg_.indexWithPrediction ? "jrsg" : "jrs";
+}
+
+std::string
+JrsEstimator::defaultName() const
+{
+    return host_->name() + "+" + token();
 }
 
 } // namespace tagecon

@@ -9,11 +9,18 @@
  * correct prediction, reset to zero on a misprediction. A prediction
  * is high confidence when its counter is at or above a threshold
  * (4-bit counters with threshold 15 in the classic configuration).
+ *
+ * JrsEstimator is the one decorator of the GradedPredictor API: it
+ * owns a host predictor, passes the host's direction through and
+ * replaces the host's grade with its table's. Registry specs
+ * "base+jrs" and "base+jrsg" build it; every other spec builds one
+ * graded object.
  */
 
 #ifndef TAGECON_BASELINE_JRS_ESTIMATOR_HPP
 #define TAGECON_BASELINE_JRS_ESTIMATOR_HPP
 
+#include <memory>
 #include <vector>
 
 #include "core/graded_predictor.hpp"
@@ -21,12 +28,11 @@
 namespace tagecon {
 
 /**
- * Storage-based confidence estimator attachable to any host predictor
- * through EstimatedPredictor ("jrs", and "jrsg" for the
- * prediction-indexed variant). It keeps its own global-history
- * register, so it is host-agnostic.
+ * A host predictor graded by a JRS counter table ("jrs", and "jrsg"
+ * for the prediction-indexed variant). The table keeps its own
+ * global-history register, so any host will do.
  */
-class JrsEstimator : public ConfidenceEstimator
+class JrsEstimator : public GradedPredictor
 {
   public:
     struct Config {
@@ -50,36 +56,55 @@ class JrsEstimator : public ConfidenceEstimator
         bool indexWithPrediction = false;
     };
 
-    /** Build with the classic 4-bit / threshold-15 configuration. */
-    JrsEstimator();
-
-    explicit JrsEstimator(Config cfg);
+    JrsEstimator(std::unique_ptr<GradedPredictor> host, Config cfg);
 
     /**
-     * High confidence iff the counter for (@p pc, current history,
-     * and p.taken when prediction-indexed) is at or above the threshold.
+     * The host's direction, graded High iff the counter for (@p pc,
+     * current history, and the direction when prediction-indexed) is
+     * at or above the threshold. The class is the level's
+     * representative: the host's own classes say nothing about this
+     * grade.
      */
-    ConfidenceLevel grade(uint64_t pc, const Prediction& p) override;
+    Prediction predict(uint64_t pc) override;
 
     /**
      * Increment the counter on a correct prediction, reset it on a
-     * misprediction, then advance the history.
+     * misprediction, advance the history, then train the host.
      */
-    void onResolve(uint64_t pc, const Prediction& p, bool taken) override;
+    void update(uint64_t pc, const Prediction& p, bool taken) override;
 
-    std::string
-    name() const override
-    {
-        return cfg_.indexWithPrediction ? "jrsg" : "jrs";
-    }
-
+    /** The host's bits plus tableBits(). */
     uint64_t storageBits() const override;
 
     void reset() override;
 
+    /** The counter table fully determines the grade. */
+    bool hasIntrinsicConfidence() const override { return true; }
+
+    uint64_t allocations() const override { return host_->allocations(); }
+
+    unsigned satLog2Prob() const override { return host_->satLog2Prob(); }
+
+    /** The counter table has no state I/O: always refused. */
+    bool snapshot(StateWriter& out, std::string& error) const override;
+    bool restore(StateReader& in, std::string& error) override;
+
+    /** Storage the counter table costs on top of the host, in bits. */
+    uint64_t tableBits() const;
+
+  protected:
+    std::string defaultName() const override;
+
   private:
+    /** The spec token: "jrsg" when prediction-indexed, else "jrs". */
+    std::string token() const;
+
+    /** Why snapshot()/restore() refuse. */
+    std::string stateIoError() const;
+
     uint32_t indexFor(uint64_t pc, bool predicted_taken) const;
 
+    std::unique_ptr<GradedPredictor> host_;
     Config cfg_;
 
     /** Packed resetting counters (width in cfg_.ctrBits, up to 16). */

@@ -11,11 +11,6 @@
 
 namespace tagecon {
 
-OgehlPredictor::OgehlPredictor()
-    : OgehlPredictor(Config{})
-{
-}
-
 OgehlPredictor::OgehlPredictor(Config cfg)
     : cfg_(cfg),
       history_(static_cast<size_t>(cfg.maxHistory) + 2)

@@ -55,7 +55,6 @@ class OgehlPredictor : public GradedPredictor
         int thresholdCtrBits = 7;
     };
 
-    OgehlPredictor();
     explicit OgehlPredictor(Config cfg);
 
     Prediction predict(uint64_t pc) override;

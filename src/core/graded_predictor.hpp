@@ -6,18 +6,18 @@
  * The paper's thesis is that confidence can be read off a predictor's
  * existing state for free; this interface makes that a first-class
  * property of *any* predictor: predict() returns a Prediction carrying
- * both the architectural answer (taken) and a confidence grade, and
- * confidence estimators are decorators (EstimatedPredictor) that can
- * be stacked on any host — the storage-free observer on TAGE, JRS
- * counter tables on gshare, self-confidence on neural predictors, or
- * nothing at all.
+ * both the architectural answer (taken) and a confidence grade. Every
+ * family grades its own predictions — the storage-free classes on
+ * TAGE, self-confidence on the neural and counter baselines — so a
+ * registry spec builds exactly one graded object. The one exception
+ * is the storage-based JRS estimator, a decorator that owns its host
+ * and replaces the host's grade with its own.
  *
  * Concrete predictors live next to their families:
  *  - tage/graded_tage.hpp        TAGE and L-TAGE (storage-free classes)
  *  - baseline/<family>_predictor.hpp  gshare, bimodal, perceptron,
  *                                O-GEHL (self-confidence grades)
- *  - core/estimators.hpp         the stateless estimators (sfc, blind)
- *  - baseline/jrs_estimator.hpp  the storage-based JRS estimator
+ *  - baseline/jrs_estimator.hpp  the JRS decorator
  * and are usually constructed through the string-spec registry
  * (sim/registry.hpp): makePredictor("tage64k+prob7+sfc").
  */
@@ -27,7 +27,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -127,7 +126,7 @@ class GradedPredictor
         }
     }
 
-    /** Total storage in bits, including any attached estimator. */
+    /** Total storage in bits, including a JRS decorator's table. */
     virtual uint64_t storageBits() const = 0;
 
     /** Reset all state to post-construction values. */
@@ -136,7 +135,7 @@ class GradedPredictor
     /**
      * True when predict() fills the confidence grade from the
      * predictor's own state (storage-free / self confidence) rather
-     * than defaulting it. Estimator specs like "+sfc" require this.
+     * than defaulting it. The "+sfc" spec label requires this.
      */
     virtual bool hasIntrinsicConfidence() const { return false; }
 
@@ -205,176 +204,6 @@ class GradedPredictor
 
   private:
     std::string displayName_;
-};
-
-/**
- * A confidence estimator attachable to any GradedPredictor via
- * EstimatedPredictor. grade() is consulted once per prediction,
- * onResolve() once per resolved branch, in order.
- */
-class ConfidenceEstimator
-{
-  public:
-    virtual ~ConfidenceEstimator() = default;
-
-    /** Grade the prediction the host just produced for @p pc. */
-    virtual ConfidenceLevel grade(uint64_t pc, const Prediction& p) = 0;
-
-    /** Observe the resolved branch (training, history advance). */
-    virtual void onResolve(uint64_t pc, const Prediction& p,
-                           bool taken) = 0;
-
-    /**
-     * True when grade() returns the host's own grade unchanged, so
-     * the host's detailed class labels (the 7 TAGE classes) remain
-     * valid alongside it. False for independent estimators, whose
-     * grades say nothing about the host's class breakdown.
-     */
-    virtual bool preservesHostClasses() const { return false; }
-
-    /** Estimator name, appended to the host name ("jrs", "sfc"...). */
-    virtual std::string name() const = 0;
-
-    /** Extra storage the estimator costs, in bits (0 = storage-free). */
-    virtual uint64_t storageBits() const = 0;
-
-    /** Reset estimator state. */
-    virtual void reset() = 0;
-};
-
-/**
- * Decorator composing a host predictor with a confidence estimator:
- * predictions come from the host, the grade from the estimator. The
- * result is itself a GradedPredictor, so estimators stack.
- */
-class EstimatedPredictor : public GradedPredictor
-{
-  public:
-    EstimatedPredictor(std::unique_ptr<GradedPredictor> host,
-                       std::unique_ptr<ConfidenceEstimator> estimator)
-        : host_(std::move(host)), estimator_(std::move(estimator))
-    {
-    }
-
-    Prediction
-    predict(uint64_t pc) override
-    {
-        Prediction p = host_->predict(pc);
-        const ConfidenceLevel graded = estimator_->grade(pc, p);
-        // An independent estimator replaces both the level and the
-        // class: keeping the host's detailed classes next to a foreign
-        // level would make the per-class statistics describe neither
-        // grading scheme.
-        if (!estimator_->preservesHostClasses()) {
-            p.confidence = graded;
-            p.cls = representativeClass(graded);
-        }
-        return p;
-    }
-
-    void
-    update(uint64_t pc, const Prediction& p, bool taken) override
-    {
-        estimator_->onResolve(pc, p, taken);
-        host_->update(pc, p, taken);
-    }
-
-    /**
-     * A transparent estimator — one that preserves the host's classes
-     * and keeps no state of its own ("+sfc") — returns every grade
-     * unchanged and has nothing to train, so the batched step can
-     * delegate to the host wholesale and stay bit-identical. Any other
-     * estimator must interleave grade()/onResolve() per element, which
-     * is exactly the scalar fallback loop.
-     */
-    void
-    predictMany(std::span<const uint64_t> pcs,
-                std::span<const uint8_t> taken,
-                std::span<Prediction> out) override
-    {
-        if (transparentEstimator()) {
-            host_->predictMany(pcs, taken, out);
-            return;
-        }
-        GradedPredictor::predictMany(pcs, taken, out);
-    }
-
-    uint64_t
-    storageBits() const override
-    {
-        return host_->storageBits() + estimator_->storageBits();
-    }
-
-    void
-    reset() override
-    {
-        host_->reset();
-        estimator_->reset();
-    }
-
-    /** The estimator fully determines the grade. */
-    bool hasIntrinsicConfidence() const override { return true; }
-
-    uint64_t allocations() const override { return host_->allocations(); }
-
-    unsigned satLog2Prob() const override { return host_->satLog2Prob(); }
-
-    /**
-     * Stateless estimators (sfc/self/blind: storage-free, nothing to
-     * reset) delegate straight to the host, so "tage64k+sfc" style
-     * specs checkpoint exactly like their host. A stateful estimator
-     * (JRS counter tables) would need its own serialization; until one
-     * grows it, such stacks are rejected with a clear error.
-     */
-    bool
-    snapshot(StateWriter& out, std::string& error) const override
-    {
-        if (estimator_->storageBits() != 0) {
-            error = name() + ": checkpoint/restore is not supported "
-                             "with the stateful '" +
-                    estimator_->name() + "' estimator";
-            return false;
-        }
-        return host_->snapshot(out, error);
-    }
-
-    bool
-    restore(StateReader& in, std::string& error) override
-    {
-        if (estimator_->storageBits() != 0) {
-            error = name() + ": checkpoint/restore is not supported "
-                             "with the stateful '" +
-                    estimator_->name() + "' estimator";
-            return false;
-        }
-        estimator_->reset();
-        return host_->restore(in, error);
-    }
-
-    /** The wrapped host predictor. */
-    const GradedPredictor& host() const { return *host_; }
-
-    /** The attached estimator. */
-    const ConfidenceEstimator& estimator() const { return *estimator_; }
-
-  protected:
-    std::string
-    defaultName() const override
-    {
-        return host_->name() + "+" + estimator_->name();
-    }
-
-  private:
-    /** True when the estimator is a stateless pass-through. */
-    bool
-    transparentEstimator() const
-    {
-        return estimator_->preservesHostClasses() &&
-               estimator_->storageBits() == 0;
-    }
-
-    std::unique_ptr<GradedPredictor> host_;
-    std::unique_ptr<ConfidenceEstimator> estimator_;
 };
 
 } // namespace tagecon

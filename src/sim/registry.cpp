@@ -11,7 +11,6 @@
 #include "baseline/jrs_estimator.hpp"
 #include "baseline/ogehl_predictor.hpp"
 #include "baseline/perceptron_predictor.hpp"
-#include "core/estimators.hpp"
 #include "sim/spec_params.hpp"
 #include "tage/graded_tage.hpp"
 #include "util/logging.hpp"
@@ -294,7 +293,7 @@ baseRegistry()
 
 /** Estimator tokens; "self" is an alias resolved to "sfc". */
 const std::vector<std::string> kEstimatorTokens = {
-    "blind", "jrs", "jrsg", "self", "sfc",
+    "jrs", "jrsg", "self", "sfc",
 };
 
 bool
@@ -400,23 +399,6 @@ canonicalName(const ParsedSpec& p)
     return s;
 }
 
-std::unique_ptr<ConfidenceEstimator>
-makeEstimator(const std::string& token)
-{
-    if (token == "sfc")
-        return std::make_unique<IntrinsicEstimator>();
-    if (token == "jrs")
-        return std::make_unique<JrsEstimator>();
-    if (token == "jrsg") {
-        JrsEstimator::Config cfg;
-        cfg.indexWithPrediction = true;
-        return std::make_unique<JrsEstimator>(cfg);
-    }
-    if (token == "blind")
-        return std::make_unique<BlindEstimator>();
-    return nullptr;
-}
-
 } // namespace
 
 std::vector<std::string>
@@ -512,19 +494,21 @@ tryMakePredictor(const std::string& spec, std::string* error)
                 predictor.reset();
             }
         }
-        if (predictor && !parsed.estimator.empty()) {
-            if (parsed.estimator == "sfc" &&
-                !predictor->hasIntrinsicConfidence()) {
+        if (predictor && parsed.estimator == "sfc") {
+            // "+sfc" builds nothing: the host already grades its own
+            // predictions, so the token only checks that it does.
+            if (!predictor->hasIntrinsicConfidence()) {
                 err = "estimator 'sfc' requires a predictor with "
                       "intrinsic confidence; '" +
                       parsed.base +
                       "' has none (attach +jrs instead)";
                 predictor.reset();
-            } else {
-                predictor = std::make_unique<EstimatedPredictor>(
-                    std::move(predictor),
-                    makeEstimator(parsed.estimator));
             }
+        } else if (predictor && !parsed.estimator.empty()) {
+            JrsEstimator::Config cfg;
+            cfg.indexWithPrediction = parsed.estimator == "jrsg";
+            predictor = std::make_unique<JrsEstimator>(
+                std::move(predictor), cfg);
         }
     }
     if (!predictor) {

@@ -28,12 +28,16 @@
  *                                  confidence (host must provide it)
  *              | "jrs" | "jrsg"    JRS resetting counters, plain /
  *                                  prediction-indexed (Grunwald)
- *              | "blind"           grade everything high confidence
  *
  * At most one estimator per spec; modifiers apply to the TAGE family
- * only. makePredictor() stamps the canonical spec as the predictor's
- * name(), so specs round-trip: makePredictor(s)->name() parses back to
- * the same pipeline.
+ * only. Every spec builds one graded object, except that "+jrs" and
+ * "+jrsg" wrap it in the JrsEstimator decorator
+ * (baseline/jrs_estimator.hpp). "+sfc" builds nothing: the base
+ * already returns its own grade, so the token only checks that it
+ * has one (hasIntrinsicConfidence()) and labels the spec.
+ * makePredictor() stamps the canonical spec as the predictor's name(),
+ * so specs round-trip: makePredictor(s)->name() parses back to the
+ * same pipeline.
  */
 
 #ifndef TAGECON_SIM_REGISTRY_HPP

@@ -1,6 +1,7 @@
 #include "tage/graded_tage.hpp"
 
 #include "util/logging.hpp"
+#include "util/saturating_counter.hpp"
 
 namespace tagecon {
 
@@ -165,11 +166,8 @@ GradedTage::restore(StateReader& in, std::string& error)
 
 // ----------------------------------------------------------- GradedLTage
 
-GradedLTage::GradedLTage(TageConfig tage_config,
-                         LoopPredictor::Config loop_config,
-                         GradedTageOptions opt)
-    : tageConfig_(tage_config), loopConfig_(loop_config),
-      predictor_(std::move(tage_config), loop_config),
+GradedLTage::GradedLTage(TageConfig tage_config, GradedTageOptions opt)
+    : tage_(std::move(tage_config)), loop_(LoopPredictor::Config{}),
       observer_(opt.bimWindow)
 {
     if (opt.adaptive)
@@ -180,15 +178,17 @@ GradedLTage::GradedLTage(TageConfig tage_config,
 Prediction
 GradedLTage::predict(uint64_t pc)
 {
-    raw_ = predictor_.predict(pc);
+    rawTage_ = tage_.predict(pc);
+    rawLoop_ = loop_.lookup(pc);
     Prediction p;
-    p.taken = raw_.taken;
-    if (raw_.fromLoopPredictor) {
+    if (rawLoop_.valid && withLoop_ >= 0) {
         // Loop-provided predictions are practically always correct.
+        p.taken = rawLoop_.taken;
         p.confidence = ConfidenceLevel::High;
         p.cls = representativeClass(p.confidence);
     } else {
-        p.cls = observer_.classify(raw_.tage);
+        p.taken = rawTage_.taken;
+        p.cls = observer_.classify(rawTage_);
         p.confidence = confidenceLevel(p.cls);
     }
     p.payload = ++seq_;
@@ -201,20 +201,28 @@ GradedLTage::update(uint64_t pc, const Prediction& p, bool taken)
     if (p.payload != seq_)
         fatal("GradedLTage::update: prediction is not from the "
               "immediately preceding predict()");
-    observer_.onResolve(raw_.tage, taken);
-    predictor_.update(pc, raw_, taken);
+    observer_.onResolve(rawTage_, taken);
+    // WITHLOOP learns whether the loop predictor beats TAGE when they
+    // disagree.
+    if (rawLoop_.valid && rawLoop_.taken != rawTage_.taken)
+        withLoop_ = packed::signedUpdate(withLoop_, kWithLoopBits,
+                                         rawLoop_.taken == taken);
+    loop_.update(pc, taken, rawTage_.taken != taken);
+    tage_.update(pc, rawTage_, taken);
 }
 
 uint64_t
 GradedLTage::storageBits() const
 {
-    return predictor_.storageBits();
+    return tage_.storageBits() + loop_.storageBits();
 }
 
 void
 GradedLTage::reset()
 {
-    predictor_ = LTagePredictor(tageConfig_, loopConfig_);
+    tage_.reset();
+    loop_ = LoopPredictor(loop_.config());
+    withLoop_ = -1;
     observer_.reset();
     seq_ = 0;
 }
@@ -222,19 +230,19 @@ GradedLTage::reset()
 uint64_t
 GradedLTage::allocations() const
 {
-    return predictor_.tage().allocations();
+    return tage_.allocations();
 }
 
 unsigned
 GradedLTage::satLog2Prob() const
 {
-    return predictor_.tage().satLog2Prob();
+    return tage_.satLog2Prob();
 }
 
 std::string
 GradedLTage::defaultName() const
 {
-    return "ltage-" + predictor_.tage().config().name;
+    return "ltage-" + tage_.config().name;
 }
 
 } // namespace tagecon

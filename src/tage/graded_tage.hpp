@@ -1,12 +1,12 @@
 /**
  * @file
- * GradedPredictor adapters for the TAGE family: TAGE with the paper's
- * storage-free confidence classes, and L-TAGE (TAGE + loop predictor)
- * with the same grading on its embedded TAGE component.
+ * The TAGE family behind the GradedPredictor API: TAGE with the
+ * paper's storage-free confidence classes, and L-TAGE (TAGE + loop
+ * predictor, Seznec's CBP-2 winner — reference [12] of the paper) with
+ * the same grading on its TAGE component.
  *
- * These are the intrinsic-confidence hosts of the new API: predict()
- * already returns the 7-class / 3-level grade read off the predictor's
- * own state, so attaching the "sfc" estimator costs nothing.
+ * predict() already returns the 7-class / 3-level grade read off the
+ * predictor's own state, so the "+sfc" spec label costs nothing.
  */
 
 #ifndef TAGECON_TAGE_GRADED_TAGE_HPP
@@ -18,7 +18,7 @@
 #include "core/adaptive_probability.hpp"
 #include "core/confidence_observer.hpp"
 #include "core/graded_predictor.hpp"
-#include "tage/ltage_predictor.hpp"
+#include "tage/loop_predictor.hpp"
 #include "tage/tage_predictor.hpp"
 
 namespace tagecon {
@@ -110,21 +110,23 @@ class GradedTage : public GradedPredictor
 };
 
 /**
- * L-TAGE behind the GradedPredictor interface. The embedded TAGE
- * prediction is graded with the storage-free observer; loop-provided
- * predictions are graded high confidence (the loop entry is only
- * trusted at full confidence, Sec. 2 of the L-TAGE description).
+ * L-TAGE behind the GradedPredictor interface. The loop predictor
+ * overrides TAGE only when it is confident and a WITHLOOP hysteresis
+ * counter has learned that trusting it pays off. TAGE-provided
+ * predictions are graded with the storage-free observer; loop-provided
+ * ones are graded high confidence (the loop entry is only trusted at
+ * full confidence, Sec. 2 of the L-TAGE description).
  */
 class GradedLTage : public GradedPredictor
 {
   public:
     explicit GradedLTage(TageConfig tage_config,
-                         LoopPredictor::Config loop_config = {},
                          GradedTageOptions opt = {});
 
     Prediction predict(uint64_t pc) override;
     void update(uint64_t pc, const Prediction& p, bool taken) override;
 
+    /** TAGE tables plus the loop table. */
     uint64_t storageBits() const override;
     void reset() override;
 
@@ -132,8 +134,14 @@ class GradedLTage : public GradedPredictor
     uint64_t allocations() const override;
     unsigned satLog2Prob() const override;
 
-    /** The underlying L-TAGE predictor (read-only). */
-    const LTagePredictor& ltage() const { return predictor_; }
+    /** The TAGE component (read-only). */
+    const TagePredictor& tage() const { return tage_; }
+
+    /** The loop predictor (read-only). */
+    const LoopPredictor& loopPredictor() const { return loop_; }
+
+    /** WITHLOOP hysteresis value; >= 0 trusts the loop predictor. */
+    int withLoop() const { return withLoop_; }
 
     /** The burst-window observer (read-only). */
     const ConfidenceObserver& observer() const { return observer_; }
@@ -142,12 +150,17 @@ class GradedLTage : public GradedPredictor
     std::string defaultName() const override;
 
   private:
-    TageConfig tageConfig_;
-    LoopPredictor::Config loopConfig_;
-    LTagePredictor predictor_;
+    /** WITHLOOP: a 7-bit hysteresis counter, starting distrustful. */
+    static constexpr int kWithLoopBits = 7;
+
+    TagePredictor tage_;
+    LoopPredictor loop_;
+    int withLoop_ = -1;
     ConfidenceObserver observer_;
 
-    LTagePrediction raw_;
+    /** Lookup state routed from predict() to the paired update(). */
+    TagePrediction rawTage_;
+    LoopPredictor::Result rawLoop_;
     uint64_t seq_ = 0;
 };
 

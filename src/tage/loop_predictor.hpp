@@ -4,7 +4,7 @@
  * JILP 2007 / CBP-2 — reference [12] of the paper): a small side table
  * that identifies loops with constant trip counts and predicts their
  * exits exactly, including trip counts far beyond any global-history
- * window. Used by LTagePredictor as an optional side predictor.
+ * window. Used by GradedLTage as an optional side predictor.
  */
 
 #ifndef TAGECON_TAGE_LOOP_PREDICTOR_HPP

@@ -18,6 +18,7 @@
 #include "sim/registry.hpp"
 #include "sim/reporting.hpp"
 #include "trace/profiles.hpp"
+#include "util/random.hpp"
 
 namespace tagecon {
 namespace {
@@ -73,6 +74,8 @@ TEST(IntervalObserver, AppendsPartialTailAfterCompleteIntervals)
     EXPECT_EQ(ia.completeIntervals, 2u);
     ASSERT_EQ(ia.intervals.size(), 3u);
     EXPECT_TRUE(ia.hasPartialTail());
+    for (size_t i = 0; i < ia.completeIntervals; ++i)
+        EXPECT_EQ(ia.intervals[i].totalPredictions(), 8u);
     EXPECT_EQ(ia.intervals.back().totalPredictions(), 5u);
 }
 
@@ -86,7 +89,68 @@ TEST(IntervalObserver, LengthOneMakesEveryPredictionAnInterval)
     obs.finish(bag);
     ASSERT_EQ(bag.intervals->intervals.size(), 4u);
     EXPECT_EQ(bag.intervals->completeIntervals, 4u);
-    EXPECT_EQ(bag.intervals->intervals[2].totalMispredictions(), 1u);
+    for (size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(bag.intervals->intervals[i].totalMispredictions(),
+                  i == 2 ? 1u : 0u);
+}
+
+/** Feed @p obs one graded resolved prediction. */
+void
+feed(IntervalObserver& obs, PredictionClass cls, bool mispredicted,
+     uint64_t instructions = 1)
+{
+    ObservedPrediction o = observed(0x40, cls, mispredicted);
+    o.instructions = instructions;
+    obs.onPrediction(o);
+}
+
+/** The windows @p obs reports at finish(). */
+IntervalAnalysis
+intervalsOf(IntervalObserver& obs)
+{
+    RunAnalysis bag;
+    obs.finish(bag);
+    return *bag.intervals;
+}
+
+TEST(IntervalObserver, IntervalsAreIndependent)
+{
+    IntervalObserver obs(10);
+    // First interval: all mispredicted; second: none.
+    for (int i = 0; i < 10; ++i)
+        feed(obs, PredictionClass::Wtag, true);
+    for (int i = 0; i < 10; ++i)
+        feed(obs, PredictionClass::Wtag, false);
+    const IntervalAnalysis ia = intervalsOf(obs);
+    ASSERT_EQ(ia.completeIntervals, 2u);
+    EXPECT_EQ(ia.intervals[0].totalMispredictions(), 10u);
+    EXPECT_EQ(ia.intervals[1].totalMispredictions(), 0u);
+}
+
+TEST(IntervalObserver, SumOfIntervalsEqualsWholeAtNonDivisorLength)
+{
+    IntervalObserver obs(37); // deliberately not a divisor
+    ClassStats whole;
+    XorShift128Plus rng(3);
+    for (int i = 0; i < 1000; ++i) {
+        const auto c = kAllPredictionClasses[rng.next() % 7];
+        const bool mis = rng.nextBool(0.2);
+        const uint64_t instr = 1 + rng.next() % 7;
+        feed(obs, c, mis, instr);
+        whole.record(c, mis, instr);
+    }
+    ClassStats merged;
+    for (const ClassStats& s : intervalsOf(obs).intervals)
+        merged.merge(s);
+    EXPECT_EQ(merged.totalPredictions(), whole.totalPredictions());
+    EXPECT_EQ(merged.totalMispredictions(),
+              whole.totalMispredictions());
+    EXPECT_EQ(merged.instructions(), whole.instructions());
+}
+
+TEST(IntervalObserver, ZeroLengthIsFatal)
+{
+    EXPECT_DEATH(IntervalObserver{0}, "interval length");
 }
 
 // The acceptance property of the histogram: totals must equal the

@@ -25,14 +25,55 @@ step(GradedPredictor& p, uint64_t pc, bool taken)
     return pred;
 }
 
-/** A prediction of direction @p taken, as a host hands it to JRS. */
-Prediction
-predicted(bool taken)
+/** A host predicting whatever direction the test last set. */
+class ScriptedHost : public GradedPredictor
 {
-    Prediction p;
-    p.taken = taken;
-    return p;
-}
+  public:
+    explicit ScriptedHost(const bool& direction) : direction_(direction) {}
+
+    Prediction
+    predict(uint64_t /*pc*/) override
+    {
+        return binaryGraded(direction_, /*high=*/true);
+    }
+
+    void update(uint64_t, const Prediction&, bool) override {}
+    uint64_t storageBits() const override { return 0; }
+    void reset() override {}
+
+  protected:
+    std::string defaultName() const override { return "scripted"; }
+
+  private:
+    const bool& direction_;
+};
+
+/** JRS over a ScriptedHost, so a test picks each predicted direction. */
+struct JrsRig {
+    explicit JrsRig(JrsEstimator::Config cfg)
+        : jrs(std::make_unique<ScriptedHost>(direction), cfg)
+    {
+    }
+
+    /** One branch at @p pc, predicted @p predicted_taken, resolved. */
+    void
+    resolve(uint64_t pc, bool predicted_taken, bool taken)
+    {
+        direction = predicted_taken;
+        step(jrs, pc, taken);
+    }
+
+    /** JRS's grade for a prediction of @p predicted_taken at @p pc. */
+    ConfidenceLevel
+    grade(uint64_t pc, bool predicted_taken)
+    {
+        direction = predicted_taken;
+        return jrs.predict(pc).confidence;
+    }
+
+    bool direction = true;
+    JrsEstimator jrs;
+};
 
 TEST(Bimodal, LearnsBias)
 {
@@ -115,19 +156,18 @@ TEST(Jrs, HighConfidenceRequiresThresholdStreak)
     cfg.ctrBits = 4;
     cfg.threshold = 15;
     cfg.historyBits = 4;
-    JrsEstimator jrs(cfg);
-    const Prediction taken = predicted(true);
+    JrsRig rig(cfg);
 
     // Resolving taken every time saturates the 4-bit history at 0b1111,
     // so (pc, history) repeats after the warm-up.
     for (int i = 0; i < 4; ++i)
-        jrs.onResolve(0x40, taken, true);
+        rig.resolve(0x40, true, true);
     // 14 correct predictions: still low confidence.
     for (int i = 0; i < 14; ++i)
-        jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
-    jrs.onResolve(0x40, taken, true); // 15th consecutive correct
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::Low);
+    rig.resolve(0x40, true, true); // 15th consecutive correct
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
 }
 
 TEST(Jrs, MispredictionResetsCounter)
@@ -135,22 +175,21 @@ TEST(Jrs, MispredictionResetsCounter)
     JrsEstimator::Config cfg;
     cfg.logEntries = 10;
     cfg.historyBits = 2;
-    JrsEstimator jrs(cfg);
-    const Prediction taken = predicted(true);
+    JrsRig rig(cfg);
     for (int i = 0; i < 30; ++i)
-        jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
     // A not-taken prediction resolved taken: the same (pc, history)
     // entry, a misprediction, and the history stays 0b11.
-    jrs.onResolve(0x40, predicted(false), true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+    rig.resolve(0x40, false, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::Low);
     // The counter restarted from 0: 14 more correct stay low, the 15th
     // reaches the threshold.
     for (int i = 0; i < 14; ++i)
-        jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
-    jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::Low);
+    rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
 }
 
 TEST(Jrs, PredictionIndexedVariantSeparatesDirections)
@@ -159,39 +198,37 @@ TEST(Jrs, PredictionIndexedVariantSeparatesDirections)
     cfg.logEntries = 12;
     cfg.historyBits = 2;
     cfg.indexWithPrediction = true;
-    JrsEstimator jrs(cfg);
-    EXPECT_EQ(jrs.name(), "jrsg");
+    JrsRig rig(cfg);
+    EXPECT_EQ(rig.jrs.name(), "scripted+jrsg");
     // Build confidence for predicted-taken only.
     for (int i = 0; i < 40; ++i)
-        jrs.onResolve(0x40, predicted(true), true);
-    EXPECT_EQ(jrs.grade(0x40, predicted(true)), ConfidenceLevel::High);
-    EXPECT_EQ(jrs.grade(0x40, predicted(false)), ConfidenceLevel::Low);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
+    EXPECT_EQ(rig.grade(0x40, false), ConfidenceLevel::Low);
 }
 
 TEST(Jrs, DefaultConfigIsClassic)
 {
     // 4-bit counters over 2^12 entries, threshold 15: after the 12-bit
     // history saturates, the 15th correct prediction is the first high.
-    JrsEstimator jrs;
-    EXPECT_EQ(jrs.name(), "jrs");
-    EXPECT_EQ(jrs.storageBits(), 4096u * 4);
-    const Prediction taken = predicted(true);
+    JrsRig rig(JrsEstimator::Config{});
+    EXPECT_EQ(rig.jrs.name(), "scripted+jrs");
+    EXPECT_EQ(rig.jrs.storageBits(), 4096u * 4);
     for (int i = 0; i < 12 + 14; ++i)
-        jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
-    jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::Low);
+    rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
 }
 
 TEST(Jrs, ResetClearsCountersAndHistory)
 {
-    JrsEstimator jrs;
-    const Prediction taken = predicted(true);
+    JrsRig rig(JrsEstimator::Config{});
     for (int i = 0; i < 40; ++i)
-        jrs.onResolve(0x40, taken, true);
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::High);
-    jrs.reset();
-    EXPECT_EQ(jrs.grade(0x40, taken), ConfidenceLevel::Low);
+        rig.resolve(0x40, true, true);
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::High);
+    rig.jrs.reset();
+    EXPECT_EQ(rig.grade(0x40, true), ConfidenceLevel::Low);
 }
 
 TEST(Jrs, StorageBits)
@@ -199,15 +236,14 @@ TEST(Jrs, StorageBits)
     JrsEstimator::Config cfg;
     cfg.logEntries = 12;
     cfg.ctrBits = 4;
-    EXPECT_EQ(JrsEstimator(cfg).storageBits(), 16384u);
+    EXPECT_EQ(JrsRig(cfg).jrs.storageBits(), 16384u);
 }
 
 TEST(Jrs, RejectsBadConfig)
 {
     JrsEstimator::Config bad;
     bad.threshold = 99; // exceeds 4-bit range
-    EXPECT_EXIT(JrsEstimator{bad}, ::testing::ExitedWithCode(1),
-                "threshold");
+    EXPECT_EXIT(JrsRig{bad}, ::testing::ExitedWithCode(1), "threshold");
 }
 
 TEST(Perceptron, LearnsBias)

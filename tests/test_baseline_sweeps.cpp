@@ -11,9 +11,8 @@
 #include "baseline/jrs_estimator.hpp"
 #include "baseline/ogehl_predictor.hpp"
 #include "core/binary_metrics.hpp"
-#include "core/confidence_observer.hpp"
 #include "sim/experiment.hpp"
-#include "tage/tage_predictor.hpp"
+#include "tage/graded_tage.hpp"
 
 namespace tagecon {
 namespace {
@@ -22,19 +21,16 @@ namespace {
 BinaryConfidenceMetrics
 runJrs(const JrsEstimator::Config& jcfg)
 {
-    TagePredictor predictor(TageConfig::small16K());
-    JrsEstimator jrs(jcfg);
+    JrsEstimator jrs(std::make_unique<GradedTage>(TageConfig::small16K()),
+                     jcfg);
     BinaryConfidenceMetrics m;
     SyntheticTrace trace = makeTrace("INT-2", 40000);
     BranchRecord rec;
     while (trace.next(rec)) {
-        const TagePrediction p = predictor.predict(rec.pc);
-        Prediction graded;
-        graded.taken = p.taken;
-        m.record(jrs.grade(rec.pc, graded) == ConfidenceLevel::High,
+        const Prediction p = jrs.predict(rec.pc);
+        m.record(p.confidence == ConfidenceLevel::High,
                  p.taken == rec.taken);
-        jrs.onResolve(rec.pc, graded, rec.taken);
-        predictor.update(rec.pc, p, rec.taken);
+        jrs.update(rec.pc, p, rec.taken);
     }
     return m;
 }

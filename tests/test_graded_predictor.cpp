@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the GradedPredictor API: adapter equivalence with the
- * hand-wired seed pipeline, estimator decoration, the contract checks
+ * hand-wired seed pipeline, the JRS decorator, the contract checks
  * (payload routing, reset determinism), and the bit-identity of every
  * family's predictMany() with the scalar predict/update loop.
  */
@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <span>
+#include <typeinfo>
 #include <vector>
 
 #include "baseline/bimodal_predictor.hpp"
@@ -112,11 +113,10 @@ TEST(GradedLTage, RunsAndGradesLoopBranches)
               TageConfig::small16K().storageBits());
 }
 
-TEST(EstimatedPredictor, JrsOverridesIntrinsicGrade)
+TEST(JrsEstimator, OverridesIntrinsicGrade)
 {
-    auto host = std::make_unique<GradedTage>(TageConfig::small16K());
-    EstimatedPredictor est(std::move(host),
-                           std::make_unique<JrsEstimator>());
+    JrsEstimator est(std::make_unique<GradedTage>(TageConfig::small16K()),
+                     JrsEstimator::Config{});
 
     // Freshly-reset JRS counters are all zero, far below the
     // threshold, so the first grade must be Low regardless of what
@@ -127,12 +127,11 @@ TEST(EstimatedPredictor, JrsOverridesIntrinsicGrade)
     est.update(0x1234, p, p.taken);
 }
 
-TEST(EstimatedPredictor, ClassStaysConsistentWithLevel)
+TEST(JrsEstimator, ClassStaysConsistentWithLevel)
 {
     auto p = makeTrace("164.gzip", 5000);
-    EstimatedPredictor est(std::make_unique<GradedTage>(
-                               TageConfig::small16K()),
-                           std::make_unique<JrsEstimator>());
+    JrsEstimator est(std::make_unique<GradedTage>(TageConfig::small16K()),
+                     JrsEstimator::Config{});
     BranchRecord rec;
     while (p.next(rec)) {
         const Prediction pred = est.predict(rec.pc);
@@ -178,7 +177,7 @@ TEST(PerceptronPredictor, SelfConfidenceTracksTheta)
 
 TEST(GenericRunTrace, FillsConfusionAndIdentity)
 {
-    OgehlPredictor ogehl;
+    OgehlPredictor ogehl(OgehlPredictor::Config{});
     SyntheticTrace t = makeTrace("181.mcf", 8000);
     const RunResult r = runTrace(t, ogehl);
     EXPECT_EQ(r.configName, "ogehl");
@@ -233,15 +232,95 @@ predictionDigest(const std::vector<Prediction>& preds)
     return fnv1a64(bytes.data(), bytes.size());
 }
 
+/** FNV-1a-64 digests of a scalar run: predictions and snapshot. */
+struct RunDigests {
+    uint64_t predictions = 0;
+    /** 0 when the predictor does not checkpoint. */
+    uint64_t snapshot = 0;
+};
+
 /**
  * predictMany() is contractually bit-identical to the scalar
  * predict/update loop, for every family — batched (TAGE) or on the
- * base-class fallback — and at any chunking. The reference here is
- * the plain loop, written out locally. After the run the reference is
- * reset() and replayed: reset must restore post-construction state, so
- * the replay reproduces the predictions and snapshot bytes. The
- * prediction stream and the snapshot bytes are pinned by FNV-1a-64
- * (snapshot 0: the stack does not checkpoint).
+ * base-class fallback — and at any chunking. Runs @p spec through the
+ * plain loop, written out locally, and requires chunked predictMany()
+ * runs to match it. After the run the reference is reset() and
+ * replayed: reset must restore post-construction state, so the replay
+ * reproduces the predictions and snapshot bytes. Returns the scalar
+ * run's digests.
+ */
+RunDigests
+expectBatchedAndReplayMatchScalarLoop(const std::string& spec,
+                                      const std::vector<uint64_t>& pcs,
+                                      const std::vector<uint8_t>& taken)
+{
+    SCOPED_TRACE(spec);
+    const size_t n = pcs.size();
+    auto reference = makePredictor(spec);
+    auto scalarRun = [&] {
+        std::vector<Prediction> preds;
+        preds.reserve(n);
+        for (size_t k = 0; k < n; ++k) {
+            preds.push_back(reference->predict(pcs[k]));
+            reference->update(pcs[k], preds.back(), taken[k] != 0);
+        }
+        return preds;
+    };
+    const std::vector<Prediction> expected = scalarRun();
+    StateWriter reference_state;
+    std::string error;
+    const bool has_snapshot = reference->snapshot(reference_state, error);
+    RunDigests digests;
+    digests.predictions = predictionDigest(expected);
+    if (has_snapshot)
+        digests.snapshot = fnv1a64(reference_state.data().data(),
+                                   reference_state.size());
+
+    for (const size_t chunk : {size_t{1}, size_t{97}, size_t{512}}) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        auto batched = makePredictor(spec);
+        std::vector<Prediction> got(n);
+        for (size_t at = 0; at < n; at += chunk) {
+            const size_t len = std::min(chunk, n - at);
+            batched->predictMany(
+                std::span<const uint64_t>(pcs.data() + at, len),
+                std::span<const uint8_t>(taken.data() + at, len),
+                std::span<Prediction>(got.data() + at, len));
+        }
+        for (size_t k = 0; k < n; ++k) {
+            if (got[k].taken != expected[k].taken ||
+                got[k].cls != expected[k].cls ||
+                got[k].confidence != expected[k].confidence) {
+                ADD_FAILURE() << "first divergence at element " << k;
+                break;
+            }
+        }
+        EXPECT_EQ(batched->allocations(), reference->allocations());
+        EXPECT_EQ(batched->satLog2Prob(), reference->satLog2Prob());
+        if (has_snapshot) {
+            StateWriter state;
+            EXPECT_TRUE(batched->snapshot(state, error)) << error;
+            EXPECT_EQ(state.data(), reference_state.data());
+        }
+    }
+
+    reference->reset();
+    const std::vector<Prediction> replay = scalarRun();
+    EXPECT_EQ(predictionDigest(replay), digests.predictions);
+    if (has_snapshot) {
+        StateWriter state;
+        EXPECT_TRUE(reference->snapshot(state, error)) << error;
+        EXPECT_EQ(state.data(), reference_state.data());
+    }
+    return digests;
+}
+
+/**
+ * Every family's prediction stream and snapshot bytes are pinned by
+ * FNV-1a-64 (snapshot 0: the stack does not checkpoint). Every "+sfc"
+ * example spec is also checked against its bare base: the label builds
+ * the same object, so it must give the same type, predictions and
+ * snapshot bytes.
  */
 TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
 {
@@ -272,67 +351,32 @@ TEST(PredictMany, EveryFamilyMatchesTheScalarLoopAtAnyChunkSize)
         pcs.push_back(rec.pc);
         taken.push_back(rec.taken ? 1 : 0);
     }
-    const size_t n = pcs.size();
 
     for (const Case& c : cases) {
         SCOPED_TRACE(c.spec);
-        auto reference = makePredictor(c.spec);
-        auto scalarRun = [&] {
-            std::vector<Prediction> preds;
-            preds.reserve(n);
-            for (size_t k = 0; k < n; ++k) {
-                preds.push_back(reference->predict(pcs[k]));
-                reference->update(pcs[k], preds.back(), taken[k] != 0);
-            }
-            return preds;
-        };
-        const std::vector<Prediction> expected = scalarRun();
-        StateWriter reference_state;
-        std::string error;
-        const bool has_snapshot =
-            reference->snapshot(reference_state, error);
-        EXPECT_EQ(predictionDigest(expected), c.predictions);
-        EXPECT_EQ(has_snapshot ? fnv1a64(reference_state.data().data(),
-                                         reference_state.size())
-                               : 0,
-                  c.snapshot);
+        const RunDigests got =
+            expectBatchedAndReplayMatchScalarLoop(c.spec, pcs, taken);
+        EXPECT_EQ(got.predictions, c.predictions);
+        EXPECT_EQ(got.snapshot, c.snapshot);
+    }
 
-        for (const size_t chunk : {size_t{1}, size_t{97}, size_t{512}}) {
-            SCOPED_TRACE("chunk " + std::to_string(chunk));
-            auto batched = makePredictor(c.spec);
-            std::vector<Prediction> got(n);
-            for (size_t at = 0; at < n; at += chunk) {
-                const size_t len = std::min(chunk, n - at);
-                batched->predictMany(
-                    std::span<const uint64_t>(pcs.data() + at, len),
-                    std::span<const uint8_t>(taken.data() + at, len),
-                    std::span<Prediction>(got.data() + at, len));
-            }
-            for (size_t k = 0; k < n; ++k) {
-                if (got[k].taken != expected[k].taken ||
-                    got[k].cls != expected[k].cls ||
-                    got[k].confidence != expected[k].confidence) {
-                    ADD_FAILURE() << "first divergence at element " << k;
-                    break;
-                }
-            }
-            EXPECT_EQ(batched->allocations(), reference->allocations());
-            EXPECT_EQ(batched->satLog2Prob(), reference->satLog2Prob());
-            if (has_snapshot) {
-                StateWriter state;
-                ASSERT_TRUE(batched->snapshot(state, error)) << error;
-                EXPECT_EQ(state.data(), reference_state.data());
-            }
-        }
-
-        reference->reset();
-        const std::vector<Prediction> replay = scalarRun();
-        EXPECT_EQ(predictionDigest(replay), c.predictions);
-        if (has_snapshot) {
-            StateWriter state;
-            ASSERT_TRUE(reference->snapshot(state, error)) << error;
-            EXPECT_EQ(state.data(), reference_state.data());
-        }
+    const std::string label = "+sfc";
+    for (const std::string& spec : exampleSpecs()) {
+        if (!spec.ends_with(label))
+            continue;
+        const std::string bare = spec.substr(0, spec.size() - label.size());
+        SCOPED_TRACE(spec + " vs " + bare);
+        const RunDigests labelled =
+            expectBatchedAndReplayMatchScalarLoop(spec, pcs, taken);
+        const RunDigests plain =
+            expectBatchedAndReplayMatchScalarLoop(bare, pcs, taken);
+        EXPECT_EQ(labelled.predictions, plain.predictions);
+        EXPECT_EQ(labelled.snapshot, plain.snapshot);
+        const auto labelled_object = makePredictor(spec);
+        const auto plain_object = makePredictor(bare);
+        const GradedPredictor& labelled_ref = *labelled_object;
+        const GradedPredictor& plain_ref = *plain_object;
+        EXPECT_EQ(typeid(labelled_ref), typeid(plain_ref));
     }
 }
 

@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the L-TAGE loop predictor and the LTagePredictor wrapper.
+ * Tests for the L-TAGE loop predictor and GradedLTage, which combines
+ * it with TAGE.
  */
 
 #include <gtest/gtest.h>
 
-#include "tage/ltage_predictor.hpp"
+#include "tage/graded_tage.hpp"
 
 namespace tagecon {
 namespace {
@@ -121,10 +122,10 @@ TEST(LTage, LoopPredictorRescuesLongLoops)
         int misses = 0;
         const int n = 60000;
         if (use_ltage) {
-            LTagePredictor pred(TageConfig::small16K());
+            GradedLTage pred(TageConfig::small16K());
             for (int i = 0; i < n; ++i) {
                 const bool taken = i % 200 != 199;
-                const LTagePrediction p = pred.predict(0x4000);
+                const Prediction p = pred.predict(0x4000);
                 if (i > n / 2 && p.taken != taken)
                     ++misses;
                 pred.update(0x4000, p, taken);
@@ -149,11 +150,11 @@ TEST(LTage, LoopPredictorRescuesLongLoops)
 
 TEST(LTage, WithLoopHysteresisEngages)
 {
-    LTagePredictor pred(TageConfig::small16K());
+    GradedLTage pred(TageConfig::small16K());
     EXPECT_LT(pred.withLoop(), 0); // starts distrusting
     for (int i = 0; i < 60000; ++i) {
         const bool taken = i % 150 != 149;
-        const LTagePrediction p = pred.predict(0x4000);
+        const Prediction p = pred.predict(0x4000);
         pred.update(0x4000, p, taken);
     }
     // After the loop predictor repeatedly beats TAGE on the exits,
@@ -164,7 +165,7 @@ TEST(LTage, WithLoopHysteresisEngages)
 
 TEST(LTage, StorageIncludesBothComponents)
 {
-    LTagePredictor pred(TageConfig::small16K());
+    GradedLTage pred(TageConfig::small16K());
     EXPECT_EQ(pred.storageBits(),
               pred.tage().storageBits() +
                   pred.loopPredictor().storageBits());
@@ -176,13 +177,13 @@ TEST(LTage, NoHarmOnLooplessStream)
     auto run = [](bool use_ltage) {
         XorShift128Plus rng(5);
         int misses = 0;
-        LTagePredictor lt(TageConfig::small16K());
+        GradedLTage lt(TageConfig::small16K());
         TagePredictor t(TageConfig::small16K());
         for (int i = 0; i < 30000; ++i) {
             const uint64_t pc = 0x9000 + (rng.next() % 32) * 4;
             const bool taken = rng.nextBool(0.85);
             if (use_ltage) {
-                const LTagePrediction p = lt.predict(pc);
+                const Prediction p = lt.predict(pc);
                 if (p.taken != taken)
                     ++misses;
                 lt.update(pc, p, taken);

@@ -22,7 +22,7 @@ step(GradedPredictor& p, uint64_t pc, bool taken)
 
 TEST(Ogehl, LearnsConstantBranch)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     for (int i = 0; i < 200; ++i)
         step(p, 0x40, true);
     EXPECT_TRUE(p.predict(0x40).taken);
@@ -33,7 +33,7 @@ TEST(Ogehl, LearnsConstantBranch)
 
 TEST(Ogehl, LearnsAlternation)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     int late_misses = 0;
     for (int i = 0; i < 4000; ++i) {
         const bool taken = i % 2 == 0;
@@ -47,7 +47,7 @@ TEST(Ogehl, LearnsLongLoopViaGeometricHistory)
 {
     // A period-60 loop needs a component with history >= 60; the
     // default config reaches 200.
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     int late_misses = 0;
     const int n = 60000;
     for (int i = 0; i < n; ++i) {
@@ -60,13 +60,13 @@ TEST(Ogehl, LearnsLongLoopViaGeometricHistory)
 
 TEST(Ogehl, SelfConfidenceLowWhenUntrained)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     EXPECT_EQ(p.predict(0x40).confidence, ConfidenceLevel::Low);
 }
 
 TEST(Ogehl, SelfConfidenceHighAfterTraining)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     for (int i = 0; i < 500; ++i)
         step(p, 0x40, true);
     // High and taken: the sum is at or above +theta.
@@ -77,7 +77,7 @@ TEST(Ogehl, SelfConfidenceHighAfterTraining)
 
 TEST(Ogehl, ThetaAdaptsUpwardUnderNoise)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     const int initial = p.theta();
     XorShift128Plus rng(3);
     // Pure noise: constant mispredictions drive theta up.
@@ -112,7 +112,7 @@ TEST(Ogehl, RejectsBadConfig)
 
 TEST(Ogehl, BeatsCoinOnBiasedStream)
 {
-    OgehlPredictor p;
+    OgehlPredictor p(OgehlPredictor::Config{});
     XorShift128Plus rng(9);
     int misses = 0;
     const int n = 20000;

@@ -146,14 +146,21 @@ TEST(Registry, MakePredictorIsFatalOnBadSpec)
                 ::testing::ExitedWithCode(1), "unknown predictor base");
 }
 
-TEST(Registry, JrsDecorationAddsStorage)
+TEST(Registry, EstimatorStorageIsExact)
 {
-    const uint64_t bare = makePredictor("gshare")->storageBits();
-    const uint64_t jrs = makePredictor("gshare+jrs")->storageBits();
-    EXPECT_GT(jrs, bare);
-    // The paper's claim, as an API property: sfc adds zero storage.
-    EXPECT_EQ(makePredictor("tage64k+sfc")->storageBits(),
-              makePredictor("tage64k")->storageBits());
+    for (const auto& base : registeredBases()) {
+        SCOPED_TRACE(base);
+        const auto bare = makePredictor(base);
+        const uint64_t bits = bare->storageBits();
+        // The paper's claim, as an API property: sfc adds zero storage.
+        if (bare->hasIntrinsicConfidence())
+            EXPECT_EQ(makePredictor(base + "+sfc")->storageBits(), bits);
+        // JRS adds exactly its table: 2^12 4-bit counters.
+        EXPECT_EQ(makePredictor(base + "+jrs")->storageBits() - bits,
+                  16384u);
+        EXPECT_EQ(makePredictor(base + "+jrsg")->storageBits() - bits,
+                  16384u);
+    }
 }
 
 // ------------------------------------------- parameterized specs
